@@ -1,10 +1,9 @@
-// Experiment E10 (Lemma 9 ablation): the event-queue design point. The
-// paper prescribes (a) keeping only the earliest intersection per
-// *currently adjacent* pair — bounding the queue by N-1 — and (b) a
-// height-biased leftist tree with handles so deletion is O(log N). We
-// compare the leftist implementation with a std::set-based queue on
-// identical workloads, and report the measured peak queue length against
-// the N-1 bound.
+// Experiment E10 (Lemma 9): the event queue keeps only the earliest
+// intersection per *currently adjacent* pair, which bounds its length by
+// N-1. The run reports the sweep's support changes m and the measured peak
+// queue length against that bound. EXPERIMENTS.md E10 records the ablation
+// on this workload that chose the indexed heap over the paper's leftist
+// tree.
 
 #include <memory>
 
@@ -23,7 +22,7 @@ struct RunStats {
   size_t max_queue;
 };
 
-RunStats RunWorkload(EventQueueKind kind, size_t n) {
+RunStats RunWorkload(size_t n) {
   const RandomModOptions options{.num_objects = n, .dim = 2, .seed = 61};
   const UpdateStreamOptions stream{.count = 300,
                                    .mean_gap = 0.02,
@@ -36,7 +35,7 @@ RunStats RunWorkload(EventQueueKind kind, size_t n) {
   FutureQueryEngine engine(std::move(mod),
                            std::make_shared<SquaredEuclideanGDistance>(
                                Trajectory::Stationary(0.0, Vec{0.0, 0.0})),
-                           0.0, kInf, kind);
+                           0.0);
   KnnKernel kernel(&engine.state(), 5);
   const double seconds = bench::MeasureSeconds([&] {
     engine.Start();
@@ -52,29 +51,19 @@ RunStats RunWorkload(EventQueueKind kind, size_t n) {
 
 void Ablation(bench::JsonSink* sink) {
   std::printf(
-      "E10: event queue ablation — leftist tree (Lemma 9) vs std::set vs "
-      "the indexed 4-ary heap on the same workload (init + 300 updates + "
-      "5 time units of sweep).\n"
-      "Also verifies the adjacent-pairs-only invariant: max queue <= N-1.\n");
+      "E10: event queue (Lemma 9) on init + 300 updates + 5 time units "
+      "of sweep.\n"
+      "Verifies the adjacent-pairs-only invariant: max queue <= N-1.\n");
   bench::Table table(sink, "queue_ablation",
-                     {"N", "impl", "time_ms", "m", "max_queue"});
+                     {"N", "time_ms", "m", "max_queue"});
   for (size_t n : {500, 2000, 8000}) {
-    for (EventQueueKind kind :
-         {EventQueueKind::kLeftist, EventQueueKind::kSet,
-          EventQueueKind::kIndexed}) {
-      const RunStats stats = RunWorkload(kind, n);
-      MODB_CHECK(stats.max_queue <= n - 1)
-          << "queue bound violated: " << stats.max_queue;
-      table.Row({static_cast<double>(n),
-                 kind == EventQueueKind::kLeftist
-                     ? 0.0
-                     : (kind == EventQueueKind::kSet ? 1.0 : 2.0),
-                 stats.seconds * 1e3,
-                 static_cast<double>(stats.support_changes),
-                 static_cast<double>(stats.max_queue)});
-    }
+    const RunStats stats = RunWorkload(n);
+    MODB_CHECK(stats.max_queue <= n - 1)
+        << "queue bound violated: " << stats.max_queue;
+    table.Row({static_cast<double>(n), stats.seconds * 1e3,
+               static_cast<double>(stats.support_changes),
+               static_cast<double>(stats.max_queue)});
   }
-  std::printf("(impl column: 0 = leftist, 1 = std::set, 2 = indexed)\n");
 }
 
 }  // namespace

@@ -15,14 +15,13 @@
 namespace modb {
 namespace {
 
-void QueryChdirSweep(bench::JsonSink* sink, const std::string& table_name) {
+void QueryChdirSweep(bench::JsonSink* sink) {
   std::printf(
-      "E5: chdir on the query trajectory at t=1 vs N [kernel: %s].\n"
+      "E5: chdir on the query trajectory at t=1 vs N.\n"
       "Claim: time/N flat (Theorem 10), and cheaper than re-initializing "
-      "(which pays the sort).\n",
-      KernelKindName(ActiveKernel()));
+      "(which pays the sort).\n");
   bench::Table table(
-      sink, table_name,
+      sink, "query_chdir_vs_n",
       {"N", "chdir_ms", "chdir_us_per_N", "reinit_ms", "speedup"});
   for (size_t n : {1000, 2000, 4000, 8000, 16000, 32000}) {
     const RandomModOptions options{.num_objects = n, .dim = 2,
@@ -68,15 +67,6 @@ int main(int argc, char** argv) {
   modb::bench::JsonSink sink(modb::bench::JsonSink::PathFromArgs(argc, argv));
   modb::bench::TraceFile trace(
       modb::bench::TraceFile::PathFromArgs(argc, argv));
-  const std::optional<modb::KernelKind> pinned =
-      modb::bench::KernelFromArgs(argc, argv);
-  modb::QueryChdirSweep(&sink, "query_chdir_vs_n");
-  // Without a pinned kernel, also record the scalar variant so the
-  // committed baseline carries both (EXPERIMENTS.md, E16).
-  if (!pinned.has_value() && modb::Avx2Available()) {
-    modb::SetKernelOverride(modb::KernelKind::kScalar);
-    modb::QueryChdirSweep(&sink, "query_chdir_vs_n_scalar");
-    modb::SetKernelOverride(std::nullopt);
-  }
+  modb::QueryChdirSweep(&sink);
   return 0;
 }

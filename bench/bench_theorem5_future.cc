@@ -39,15 +39,14 @@ void InitializationSweep(bench::JsonSink* sink) {
   }
 }
 
-void UpdateCostVsGap(bench::JsonSink* sink, const std::string& table_name) {
+void UpdateCostVsGap(bench::JsonSink* sink) {
   std::printf(
       "\nE3: per-update maintenance (Theorem 5.2), N = 2000, 200 chdir "
-      "updates, varying the gap between updates [kernel: %s].\n"
+      "updates, varying the gap between updates.\n"
       "Claim: cost per update tracks m (support changes per update); "
-      "time / ((m+1) log2 N) is flat.\n",
-      KernelKindName(ActiveKernel()));
+      "time / ((m+1) log2 N) is flat.\n");
   bench::Table table(
-      sink, table_name,
+      sink, "update_cost_vs_gap",
       {"mean_gap", "m_per_update", "us_per_update", "norm_us"});
   const size_t n = 2000;
   for (double gap : {0.01, 0.04, 0.16, 0.64, 2.56}) {
@@ -88,16 +87,7 @@ int main(int argc, char** argv) {
   modb::bench::JsonSink sink(modb::bench::JsonSink::PathFromArgs(argc, argv));
   modb::bench::TraceFile trace(
       modb::bench::TraceFile::PathFromArgs(argc, argv));
-  const std::optional<modb::KernelKind> pinned =
-      modb::bench::KernelFromArgs(argc, argv);
   modb::InitializationSweep(&sink);
-  modb::UpdateCostVsGap(&sink, "update_cost_vs_gap");
-  // Without a pinned kernel, also record the other variant's E3 table so
-  // the committed baseline carries both (EXPERIMENTS.md, E16).
-  if (!pinned.has_value() && modb::Avx2Available()) {
-    modb::SetKernelOverride(modb::KernelKind::kScalar);
-    modb::UpdateCostVsGap(&sink, "update_cost_vs_gap_scalar");
-    modb::SetKernelOverride(std::nullopt);
-  }
+  modb::UpdateCostVsGap(&sink);
   return 0;
 }

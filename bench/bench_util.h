@@ -4,12 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "geom/roots_batch.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -207,30 +204,6 @@ class Table {
 };
 
 inline double Log2(double x) { return std::log2(std::max(2.0, x)); }
-
-// Scans argv for "--kernel scalar|avx2": pins the batched sweep kernels
-// (docs/KERNELS.md, "Dispatch") for the whole run and returns the pinned
-// kind; nullopt — runtime auto-dispatch — when the flag is absent. An
-// unknown name, or avx2 on a CPU without it, aborts with a message.
-inline std::optional<KernelKind> KernelFromArgs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--kernel") {
-      const std::optional<KernelKind> kind = ParseKernelKind(argv[i + 1]);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "bench: unknown --kernel '%s' (scalar|avx2)\n",
-                     argv[i + 1]);
-        std::exit(2);
-      }
-      if (*kind == KernelKind::kAvx2 && !Avx2Available()) {
-        std::fprintf(stderr, "bench: --kernel avx2: CPU lacks AVX2\n");
-        std::exit(2);
-      }
-      SetKernelOverride(kind);
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
 
 }  // namespace bench
 }  // namespace modb

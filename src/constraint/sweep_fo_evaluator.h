@@ -44,9 +44,8 @@ struct SweepFoResult {
 // an isolated instant is not materialized as a point segment; the QE
 // evaluator does materialize it. Interval answers (and hence Q^s on
 // cells, and Q^∀) agree; Q^∃ can differ at measure-zero tangency cases.
-SweepFoResult EvaluateFoQueryBySweep(
-    const MovingObjectDatabase& mod, GDistancePtr gdist, const FoQuery& query,
-    EventQueueKind queue_kind = EventQueueKind::kIndexed);
+SweepFoResult EvaluateFoQueryBySweep(const MovingObjectDatabase& mod,
+                                     GDistancePtr gdist, const FoQuery& query);
 
 }  // namespace modb
 

@@ -9,13 +9,12 @@ namespace modb {
 
 FutureQueryEngine::FutureQueryEngine(MovingObjectDatabase mod,
                                      GDistancePtr gdist, double start_time,
-                                     double horizon,
-                                     EventQueueKind queue_kind)
+                                     double horizon)
     : mod_(std::move(mod)) {
   MODB_CHECK_GE(start_time, mod_.last_update_time())
       << "future queries start at or after the MOD's last update";
-  state_ = std::make_unique<SweepState>(std::move(gdist), start_time, horizon,
-                                        queue_kind);
+  state_ =
+      std::make_unique<SweepState>(std::move(gdist), start_time, horizon);
 }
 
 void FutureQueryEngine::Start() {

@@ -26,8 +26,7 @@ class FutureQueryEngine {
   // the MOD's last update time (you cannot start a future query in the
   // past). `horizon` bounds the query interval's right end.
   FutureQueryEngine(MovingObjectDatabase mod, GDistancePtr gdist,
-                    double start_time, double horizon = kInf,
-                    EventQueueKind queue_kind = EventQueueKind::kIndexed);
+                    double start_time, double horizon = kInf);
 
   SweepState& state() { return *state_; }
   const MovingObjectDatabase& mod() const { return mod_; }

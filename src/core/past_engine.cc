@@ -10,14 +10,13 @@
 namespace modb {
 
 PastQueryEngine::PastQueryEngine(const MovingObjectDatabase& mod,
-                                 GDistancePtr gdist, TimeInterval interval,
-                                 EventQueueKind queue_kind)
+                                 GDistancePtr gdist, TimeInterval interval)
     : mod_(mod), interval_(interval) {
   MODB_CHECK(!interval_.empty());
   MODB_CHECK(std::isfinite(interval_.lo) && std::isfinite(interval_.hi))
       << "past queries need a bounded interval";
   state_ = std::make_unique<SweepState>(std::move(gdist), interval_.lo,
-                                        interval_.hi, queue_kind);
+                                        interval_.hi);
 }
 
 void PastQueryEngine::Run() {

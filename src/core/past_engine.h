@@ -23,8 +23,7 @@ namespace modb {
 class PastQueryEngine {
  public:
   PastQueryEngine(const MovingObjectDatabase& mod, GDistancePtr gdist,
-                  TimeInterval interval,
-                  EventQueueKind queue_kind = EventQueueKind::kIndexed);
+                  TimeInterval interval);
 
   SweepState& state() { return *state_; }
   const MovingObjectDatabase& mod() const { return mod_; }

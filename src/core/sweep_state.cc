@@ -14,12 +14,10 @@ constexpr double kContinuityTol = 1e-6;
 
 }  // namespace
 
-SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon,
-                       EventQueueKind queue_kind)
+SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon)
     : gdist_(std::move(gdist)),
       now_(start_time),
       horizon_(horizon),
-      queue_(MakeEventQueue(queue_kind)),
       metrics_(&obs::M()) {
   MODB_CHECK(gdist_ != nullptr);
   MODB_CHECK_LE(start_time, horizon);
@@ -42,7 +40,7 @@ void SweepState::RefreshDerivedGauges() const {
   metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
   metrics_->sweep_order_depth_peak->SetMax(
       static_cast<int64_t>(order_.Depth()));
-  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
+  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_.size()));
 }
 
 void SweepState::AddListener(SweepListener* listener) {
@@ -103,8 +101,8 @@ std::optional<double> SweepState::EntryFirstCrossing(
 }
 
 void SweepState::NoteQueueLength() {
-  stats_.max_queue_length = std::max(stats_.max_queue_length, queue_->size());
-  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_->size()));
+  stats_.max_queue_length = std::max(stats_.max_queue_length, queue_.size());
+  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_.size()));
 }
 
 void SweepState::NoteOrderShape() {
@@ -114,7 +112,7 @@ void SweepState::NoteOrderShape() {
 }
 
 void SweepState::CancelPair(ObjectId left, ObjectId right) {
-  if (queue_->ErasePair(left, right)) {
+  if (queue_.ErasePair(left, right)) {
     metrics_->sweep_events_cancelled->Increment();
     if (cost_ != nullptr) {
       cost_->cancels.fetch_add(1, std::memory_order_relaxed);
@@ -140,7 +138,7 @@ std::optional<SweepEvent> SweepState::ComputePairEvent(ObjectId left,
 void SweepState::SchedulePair(ObjectId left, ObjectId right) {
   std::optional<SweepEvent> event = ComputePairEvent(left, right);
   if (event.has_value()) {
-    queue_->Push(*event);
+    queue_.Push(*event);
     metrics_->sweep_events_scheduled->Increment();
     if (cost_ != nullptr) {
       cost_->schedules.fetch_add(1, std::memory_order_relaxed);
@@ -173,9 +171,7 @@ void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
   }
   batch_out_.resize(n);
   stats_.crossings_computed += n;
-  for (size_t i = 0; i < n; ++i) {
-    metrics_->sweep_crossings_computed->Increment();
-  }
+  metrics_->sweep_crossings_computed->Increment(n);
   if (cost_ != nullptr) {
     cost_->crossings.fetch_add(n, std::memory_order_relaxed);
     cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
@@ -186,7 +182,7 @@ void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
   // sequence as n sequential SchedulePair calls.
   for (size_t i = 0; i < n; ++i) {
     if (batch_out_[i] == kInf) continue;
-    queue_->Push(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
+    queue_.Push(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
     metrics_->sweep_events_scheduled->Increment();
     if (cost_ != nullptr) {
       cost_->schedules.fetch_add(1, std::memory_order_relaxed);
@@ -390,9 +386,7 @@ void SweepState::ReplaceGDistance(
     if (all_pooled) {
       batch_out_.resize(n);
       stats_.crossings_computed += n;
-      for (size_t i = 0; i < n; ++i) {
-        metrics_->sweep_crossings_computed->Increment();
-      }
+      metrics_->sweep_crossings_computed->Increment(n);
       if (cost_ != nullptr) {
         cost_->crossings.fetch_add(n, std::memory_order_relaxed);
         cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
@@ -412,7 +406,7 @@ void SweepState::ReplaceGDistance(
       }
     }
   }
-  queue_->BulkBuild(std::move(events));
+  queue_.BulkBuild(std::move(events));
   NoteQueueLength();
   RunPostEventHook();
 }
@@ -427,7 +421,7 @@ void SweepState::ReplaceGDistance(
 }
 
 std::vector<SweepEvent> SweepState::QueueSnapshot() const {
-  return queue_->Snapshot();
+  return queue_.Snapshot();
 }
 
 std::optional<double> SweepState::PairFirstCrossing(ObjectId left,
@@ -439,7 +433,7 @@ std::optional<double> SweepState::PairFirstCrossing(ObjectId left,
 }
 
 bool SweepState::HasEventAtOrBefore(double t) const {
-  return !queue_->empty() && queue_->Min().time <= t;
+  return !queue_.empty() && queue_.Min().time <= t;
 }
 
 void SweepState::ProcessEvent(const SweepEvent& event) {
@@ -485,7 +479,7 @@ void SweepState::AdvanceTo(double t) {
   MODB_CHECK_GE(t, now_);
   MODB_CHECK_LE(t, horizon_);
   while (HasEventAtOrBefore(t)) {
-    ProcessEvent(queue_->PopMin());
+    ProcessEvent(queue_.PopMin());
   }
   now_ = t;
 }
@@ -493,8 +487,8 @@ void SweepState::AdvanceTo(double t) {
 void SweepState::CheckInvariants() const {
   order_.CheckInvariants();
   // Lemma 9: at most one event per adjacent pair.
-  MODB_CHECK(queue_->size() + 1 <= order_.size() || queue_->size() == 0)
-      << "queue length " << queue_->size() << " exceeds N-1 for N="
+  MODB_CHECK(queue_.size() + 1 <= order_.size() || queue_.size() == 0)
+      << "queue length " << queue_.size() << " exceeds N-1 for N="
       << order_.size();
   // The maintained order must agree with curve values at now(). The
   // tolerance is relative: crossing times carry ~1e-10 absolute error, so

@@ -76,8 +76,7 @@ class SweepState {
   // `start_time` is the initial sweep position; no event before `horizon`
   // is ever missed, events after it are not scheduled (pass kInf for an
   // open horizon).
-  SweepState(GDistancePtr gdist, double start_time, double horizon = kInf,
-             EventQueueKind queue_kind = EventQueueKind::kIndexed);
+  SweepState(GDistancePtr gdist, double start_time, double horizon = kInf);
   ~SweepState();
 
   SweepState(const SweepState&) = delete;
@@ -97,7 +96,7 @@ class SweepState {
   size_t size() const { return order_.size(); }
   const OrderedSequence& order() const { return order_; }
   const SweepStats& stats() const { return stats_; }
-  size_t queue_length() const { return queue_->size(); }
+  size_t queue_length() const { return queue_.size(); }
   const GDistance& gdistance() const { return *gdist_; }
 
   // Value of `oid`'s curve at time t (t within the curve's domain).
@@ -240,7 +239,7 @@ class SweepState {
   std::vector<double> batch_out_;
   CrossingScratch batch_scratch_;
   OrderedSequence order_;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<SweepListener*> listeners_;
   std::function<void()> post_event_hook_;
   SweepStats stats_;

@@ -120,7 +120,7 @@ StatusOr<std::unique_ptr<DurableQueryServer>> DurableQueryServer::Open(
   }
 
   const double start_time = mod.last_update_time();
-  QueryServer server(std::move(mod), start_time, options.queue_kind);
+  QueryServer server(std::move(mod), start_time);
   SnapshotManager snapshots(dir, options.snapshot, env);
 
   std::unique_ptr<DurableQueryServer> db(

@@ -47,7 +47,6 @@ struct DurabilityOptions {
   SnapshotOptions snapshot;
   // Group-commit batching knobs for Commit()/ApplyUpdate().
   GroupCommitOptions commit;
-  EventQueueKind queue_kind = EventQueueKind::kIndexed;
   // Checkpoint automatically when the active segment exceeds
   // snapshot.trigger_bytes. Off is useful for tests and for callers that
   // checkpoint on their own schedule.

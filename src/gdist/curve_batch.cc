@@ -1,6 +1,6 @@
 // Pooled crossing kernels over the SOA segment pool. Compiled with
-// -ffp-contract=off like the quad-cell kernel TUs: the walk must produce
-// the same bits whether the cells run scalar or AVX2.
+// -ffp-contract=off like the quad-cell kernel TU: the coefficient
+// differences must produce the same bits as the GCurve walk's.
 
 #include "gdist/curve_batch.h"
 
@@ -149,14 +149,14 @@ void FirstCrossingBatch(const PolySegPool& pool, const CurvePairRef* pairs,
 
 const std::vector<KernelInfo>& KernelRegistry() {
   static const std::vector<KernelInfo>* registry = new std::vector<KernelInfo>{
-      {"geom.quad_cell_first_positive", "scalar+avx2",
+      {"geom.quad_cell_first_positive",
        "first strictly-positive cell of a quadratic difference on a window"},
-      {"gdist.crossing_pooled", "scalar",
+      {"gdist.crossing_pooled",
        "merged-segment crossing walk for one pooled curve pair"},
-      {"gdist.crossing_batch", "scalar+avx2",
+      {"gdist.crossing_batch",
        "SOA crossing pass over many pooled pairs (adjacency repair, "
        "Theorem-10 rebuild)"},
-      {"gdist.euclid_pool_append", "scalar",
+      {"gdist.euclid_pool_append",
        "allocation-free squared-Euclidean curve construction into the pool"},
   };
   return *registry;

@@ -47,7 +47,7 @@ struct CrossingScratch {
 };
 
 // `gdist.crossing_batch`: answers all `n` pairs in SOA passes through the
-// active quad-cell kernel (adjacency repair batches the <= 3 pairs of an
+// quad-cell kernel (adjacency repair batches the <= 3 pairs of an
 // event; Theorem-10 rebuild batches all N-1 adjacent pairs). out[i] is the
 // crossing time or +inf when pair i never crosses in (lo, hi].
 void FirstCrossingBatch(const PolySegPool& pool, const CurvePairRef* pairs,
@@ -58,8 +58,7 @@ void FirstCrossingBatch(const PolySegPool& pool, const CurvePairRef* pairs,
 // Registry of every batched kernel entry point; docs/KERNELS.md documents
 // exactly this set (enforced by KernelsDocMatchesRegistry).
 struct KernelInfo {
-  const char* name;      // e.g. "gdist.crossing_batch"
-  const char* dispatch;  // "scalar" or "scalar+avx2"
+  const char* name;  // e.g. "gdist.crossing_batch"
   const char* summary;
 };
 const std::vector<KernelInfo>& KernelRegistry();

@@ -13,10 +13,8 @@
 namespace modb {
 
 // A 64-byte-aligned growable array of doubles: the backing storage of the
-// segment pool's SOA planes. Alignment matters twice over — an aligned
-// plane never splits a 4-lane AVX2 load across cache lines, and the four
-// planes stay mutually congruent so the same segment index hits the same
-// line offset in each.
+// segment pool's SOA planes. Alignment keeps the four planes mutually
+// congruent, so the same segment index hits the same line offset in each.
 class AlignedDoubles {
  public:
   AlignedDoubles() = default;

@@ -1,62 +1,14 @@
-// Scalar quad-cell kernel and the scalar/AVX2 dispatcher. Compiled with
-// -ffp-contract=off (see src/geom/CMakeLists.txt): the scalar path is the
-// oracle the AVX2 lanes must match bit-for-bit, so the compiler must not
-// fuse any multiply-add the vector path performs as two rounded ops.
+// The quad-cell kernel. Compiled with -ffp-contract=off (see
+// src/geom/CMakeLists.txt): it must match the GCurve walk it replicates
+// bit-for-bit, so the compiler must not fuse any multiply-add the walk
+// performs as two rounded operations.
 
 #include "geom/roots_batch.h"
 
-#include <atomic>
 #include <cmath>
 #include <utility>
 
-#include "common/check.h"
-
 namespace modb {
-namespace {
-
-// -1 = no override; else the KernelKind value.
-std::atomic<int> g_kernel_override{-1};
-
-bool DetectAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-}  // namespace
-
-bool Avx2Available() {
-  static const bool available = DetectAvx2();
-  return available;
-}
-
-KernelKind ActiveKernel() {
-  const int forced = g_kernel_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<KernelKind>(forced);
-  return Avx2Available() ? KernelKind::kAvx2 : KernelKind::kScalar;
-}
-
-void SetKernelOverride(std::optional<KernelKind> kind) {
-  if (!kind.has_value()) {
-    g_kernel_override.store(-1, std::memory_order_relaxed);
-    return;
-  }
-  MODB_CHECK(*kind != KernelKind::kAvx2 || Avx2Available())
-      << "--kernel avx2 requested but the CPU lacks AVX2";
-  g_kernel_override.store(static_cast<int>(*kind), std::memory_order_relaxed);
-}
-
-const char* KernelKindName(KernelKind kind) {
-  return kind == KernelKind::kAvx2 ? "avx2" : "scalar";
-}
-
-std::optional<KernelKind> ParseKernelKind(const std::string& name) {
-  if (name == "scalar") return KernelKind::kScalar;
-  if (name == "avx2") return KernelKind::kAvx2;
-  return std::nullopt;
-}
 
 double FirstPositiveQuadCell(double d0, double d1, double d2, double lo,
                              double hi, double tol) {
@@ -120,10 +72,6 @@ double FirstPositiveQuadCell(double d0, double d1, double d2, double lo,
 
 void FirstPositiveQuadBatch(const QuadCellBatch& cells, size_t n, double tol,
                             double* out) {
-  if (ActiveKernel() == KernelKind::kAvx2) {
-    FirstPositiveQuadBatchAvx2(cells, n, tol, out);
-    return;
-  }
   for (size_t i = 0; i < n; ++i) {
     out[i] = FirstPositiveQuadCell(cells.d0[i], cells.d1[i], cells.d2[i],
                                    cells.lo[i], cells.hi[i], tol);

@@ -2,34 +2,11 @@
 #define MODB_GEOM_ROOTS_BATCH_H_
 
 #include <cstddef>
-#include <optional>
-#include <string>
 
 #include "geom/interval.h"
 #include "geom/roots.h"
 
 namespace modb {
-
-// Which implementation the batched kernels run. kAuto resolves to AVX2 when
-// the CPU supports it, scalar otherwise; the scalar path is the differential
-// oracle the AVX2 path must match bit-for-bit (docs/KERNELS.md, "Dispatch").
-enum class KernelKind { kScalar, kAvx2 };
-
-// True if this CPU can run the AVX2 paths.
-bool Avx2Available();
-
-// The kernel the next batched call will use (override if set, else AVX2
-// when available).
-KernelKind ActiveKernel();
-
-// Forces a kernel for benchmarks (`--kernel scalar|avx2`) and differential
-// tests; kAvx2 requires Avx2Available(). Thread-compatible: set before
-// sweeps run.
-void SetKernelOverride(std::optional<KernelKind> kind);
-
-const char* KernelKindName(KernelKind kind);
-// Parses "scalar" / "avx2"; nullopt otherwise.
-std::optional<KernelKind> ParseKernelKind(const std::string& name);
 
 // One quadratic cell problem: the difference d(t) = d2 t² + d1 t + d0 of
 // two curve segments on the window [lo, hi] (hi may be +inf). The kernel
@@ -53,16 +30,9 @@ struct QuadCellBatch {
 double FirstPositiveQuadCell(double d0, double d1, double d2, double lo,
                              double hi, double tol);
 
-// Batched form: out[i] answers cell i. Dispatches per ActiveKernel(); the
-// AVX2 path runs four cells per iteration with blend-selected lanes and
-// identical IEEE operation order, so out[] is bit-identical across kernels.
+// Batched form over SOA cell planes: out[i] answers cell i.
 void FirstPositiveQuadBatch(const QuadCellBatch& cells, size_t n, double tol,
                             double* out);
-
-// AVX2 implementation (defined in roots_batch_avx2.cc; callable directly
-// only from tests — everything else goes through the dispatcher above).
-void FirstPositiveQuadBatchAvx2(const QuadCellBatch& cells, size_t n,
-                                double tol, double* out);
 
 }  // namespace modb
 

@@ -2,101 +2,11 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace modb {
 
-void LeftistEventQueue::Push(const SweepEvent& event) {
-  const PairKey key{event.left, event.right};
-  MODB_CHECK(handles_.find(key) == handles_.end())
-      << "pair (" << event.left << ", " << event.right
-      << ") already has an event";
-  handles_[key] = heap_.Push(event);
-}
-
-bool LeftistEventQueue::ErasePair(ObjectId left, ObjectId right) {
-  auto it = handles_.find(PairKey{left, right});
-  if (it == handles_.end()) return false;
-  heap_.Erase(it->second);
-  handles_.erase(it);
-  return true;
-}
-
-bool LeftistEventQueue::HasPair(ObjectId left, ObjectId right) const {
-  return handles_.count(PairKey{left, right}) > 0;
-}
-
-const SweepEvent& LeftistEventQueue::Min() const { return heap_.Min(); }
-
-SweepEvent LeftistEventQueue::PopMin() {
-  SweepEvent event = heap_.PopMin();
-  handles_.erase(PairKey{event.left, event.right});
-  return event;
-}
-
-void LeftistEventQueue::BulkBuild(std::vector<SweepEvent> events) {
-  handles_.clear();
-  std::vector<Heap::Handle> handles = heap_.BulkBuild(std::move(events));
-  for (Heap::Handle handle : handles) {
-    const SweepEvent& event = handle->value;
-    const PairKey key{event.left, event.right};
-    MODB_CHECK(handles_.find(key) == handles_.end())
-        << "duplicate pair in BulkBuild";
-    handles_[key] = handle;
-  }
-}
-
-std::vector<SweepEvent> LeftistEventQueue::Snapshot() const {
-  std::vector<SweepEvent> events;
-  events.reserve(handles_.size());
-  for (const auto& [key, handle] : handles_) events.push_back(handle->value);
-  std::sort(events.begin(), events.end(), SweepEventLess());
-  return events;
-}
-
-void SetEventQueue::BulkBuild(std::vector<SweepEvent> events) {
-  events_.clear();
-  by_pair_.clear();
-  for (const SweepEvent& event : events) Push(event);
-}
-
-void SetEventQueue::Push(const SweepEvent& event) {
-  const PairKey key{event.left, event.right};
-  MODB_CHECK(by_pair_.find(key) == by_pair_.end())
-      << "pair (" << event.left << ", " << event.right
-      << ") already has an event";
-  by_pair_[key] = event;
-  events_.insert(event);
-}
-
-bool SetEventQueue::ErasePair(ObjectId left, ObjectId right) {
-  auto it = by_pair_.find(PairKey{left, right});
-  if (it == by_pair_.end()) return false;
-  events_.erase(it->second);
-  by_pair_.erase(it);
-  return true;
-}
-
-bool SetEventQueue::HasPair(ObjectId left, ObjectId right) const {
-  return by_pair_.count(PairKey{left, right}) > 0;
-}
-
-const SweepEvent& SetEventQueue::Min() const {
-  MODB_CHECK(!events_.empty());
-  return *events_.begin();
-}
-
-SweepEvent SetEventQueue::PopMin() {
-  MODB_CHECK(!events_.empty());
-  SweepEvent event = *events_.begin();
-  events_.erase(events_.begin());
-  by_pair_.erase(PairKey{event.left, event.right});
-  return event;
-}
-
-std::vector<SweepEvent> SetEventQueue::Snapshot() const {
-  return std::vector<SweepEvent>(events_.begin(), events_.end());
-}
-
-uint32_t IndexedEventQueue::AllocSlot() {
+uint32_t EventQueue::AllocSlot() {
   if (!free_slots_.empty()) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -106,7 +16,7 @@ uint32_t IndexedEventQueue::AllocSlot() {
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-void IndexedEventQueue::SiftUp(uint32_t pos) {
+void EventQueue::SiftUp(uint32_t pos) {
   const uint32_t slot = heap_[pos];
   while (pos > 0) {
     const uint32_t parent = (pos - 1) / kArity;
@@ -117,7 +27,7 @@ void IndexedEventQueue::SiftUp(uint32_t pos) {
   MoveTo(slot, pos);
 }
 
-void IndexedEventQueue::SiftDown(uint32_t pos) {
+void EventQueue::SiftDown(uint32_t pos) {
   const uint32_t slot = heap_[pos];
   const uint32_t n = static_cast<uint32_t>(heap_.size());
   for (;;) {
@@ -135,7 +45,7 @@ void IndexedEventQueue::SiftDown(uint32_t pos) {
   MoveTo(slot, pos);
 }
 
-void IndexedEventQueue::RemoveAt(uint32_t pos) {
+void EventQueue::RemoveAt(uint32_t pos) {
   const uint32_t last_slot = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;
@@ -147,11 +57,11 @@ void IndexedEventQueue::RemoveAt(uint32_t pos) {
   }
 }
 
-void IndexedEventQueue::Push(const SweepEvent& event) {
+void EventQueue::Push(const SweepEvent& event) {
   auto [it, inserted] = slot_of_.try_emplace(event.left, 0);
   MODB_CHECK(inserted) << "pair (" << event.left << ", " << event.right
-                       << ") already has an event (the indexed queue holds "
-                          "at most one event per left object)";
+                       << ") already has an event (the queue holds at most "
+                          "one event per left object)";
   const uint32_t slot = AllocSlot();
   it->second = slot;
   slots_[slot].event = event;
@@ -160,7 +70,7 @@ void IndexedEventQueue::Push(const SweepEvent& event) {
   SiftUp(slots_[slot].heap_pos);
 }
 
-bool IndexedEventQueue::ErasePair(ObjectId left, ObjectId right) {
+bool EventQueue::ErasePair(ObjectId left, ObjectId right) {
   auto it = slot_of_.find(left);
   if (it == slot_of_.end()) return false;
   const uint32_t slot = it->second;
@@ -171,17 +81,17 @@ bool IndexedEventQueue::ErasePair(ObjectId left, ObjectId right) {
   return true;
 }
 
-bool IndexedEventQueue::HasPair(ObjectId left, ObjectId right) const {
+bool EventQueue::HasPair(ObjectId left, ObjectId right) const {
   auto it = slot_of_.find(left);
   return it != slot_of_.end() && slots_[it->second].event.right == right;
 }
 
-const SweepEvent& IndexedEventQueue::Min() const {
+const SweepEvent& EventQueue::Min() const {
   MODB_CHECK(!heap_.empty());
   return slots_[heap_[0]].event;
 }
 
-SweepEvent IndexedEventQueue::PopMin() {
+SweepEvent EventQueue::PopMin() {
   MODB_CHECK(!heap_.empty());
   const uint32_t slot = heap_[0];
   SweepEvent event = slots_[slot].event;
@@ -191,7 +101,7 @@ SweepEvent IndexedEventQueue::PopMin() {
   return event;
 }
 
-void IndexedEventQueue::BulkBuild(std::vector<SweepEvent> events) {
+void EventQueue::BulkBuild(std::vector<SweepEvent> events) {
   heap_.clear();
   slots_.clear();
   free_slots_.clear();
@@ -205,7 +115,8 @@ void IndexedEventQueue::BulkBuild(std::vector<SweepEvent> events) {
     slots_[i].heap_pos = i;
     heap_[i] = i;
     MODB_CHECK(slot_of_.emplace(events[i].left, i).second)
-        << "duplicate pair in BulkBuild";
+        << "BulkBuild: object " << events[i].left
+        << " is the left of two events (at most one event per left object)";
   }
   if (n > 1) {
     // Floyd heapify: sift down every internal node.
@@ -213,25 +124,12 @@ void IndexedEventQueue::BulkBuild(std::vector<SweepEvent> events) {
   }
 }
 
-std::vector<SweepEvent> IndexedEventQueue::Snapshot() const {
+std::vector<SweepEvent> EventQueue::Snapshot() const {
   std::vector<SweepEvent> events;
   events.reserve(heap_.size());
   for (uint32_t slot : heap_) events.push_back(slots_[slot].event);
   std::sort(events.begin(), events.end(), SweepEventLess());
   return events;
-}
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kLeftist:
-      return std::make_unique<LeftistEventQueue>();
-    case EventQueueKind::kSet:
-      return std::make_unique<SetEventQueue>();
-    case EventQueueKind::kIndexed:
-      return std::make_unique<IndexedEventQueue>();
-  }
-  MODB_CHECK(false) << "unknown event queue kind";
-  return nullptr;
 }
 
 }  // namespace modb

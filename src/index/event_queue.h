@@ -3,14 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
-#include <string>
 #include <unordered_map>
-#include <utility>
+#include <vector>
 
-#include "index/leftist_heap.h"
 #include "trajectory/trajectory.h"
 
 namespace modb {
@@ -36,106 +31,49 @@ struct SweepEventLess {
   }
 };
 
-// The event queue E of §5, keyed by adjacent pair. Per Lemma 9's scheme it
-// holds at most one event per pair of *currently adjacent* objects (their
-// earliest future intersection); when two objects cease to be adjacent their
-// event is deleted. This bounds the queue length by N - 1.
+// The event queue E of §5. Per Lemma 9's scheme it holds at most one event
+// per pair of *currently adjacent* objects (their earliest future
+// intersection); when two objects cease to be adjacent their event is
+// deleted. This bounds the queue length by N - 1.
+//
+// Lemma 9 keys events by adjacent pair and prescribes a leftist tree with
+// handles. This is a 4-ary array min-heap indexed by the event's *left*
+// object instead: the sweep only ever queues an event for a pair (l, r)
+// while r is l's current successor, so each object is the left endpoint of
+// at most one queued event, and a dense slot per left object replaces the
+// pair-keyed map of handles. No per-node allocation, no tree rebalancing:
+// Push/ErasePair are one hash probe plus a short sift in a flat array, with
+// the same O(log N) bounds. Requires the one-event-per-left invariant (Push
+// and BulkBuild CHECK-fail on a second event for the same left object);
+// SweepState maintains it at every schedule site.
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  // Inserts an event for the pair (event.left, event.right); the pair must
-  // not already have an event.
-  virtual void Push(const SweepEvent& event) = 0;
+  // Inserts an event for the pair (event.left, event.right); event.left
+  // must not already have an event.
+  void Push(const SweepEvent& event);
 
   // Removes the pair's event if present; returns whether one was removed.
-  virtual bool ErasePair(ObjectId left, ObjectId right) = 0;
+  // A queued event for `left` with a different right object stays queued.
+  bool ErasePair(ObjectId left, ObjectId right);
 
-  virtual bool HasPair(ObjectId left, ObjectId right) const = 0;
+  bool HasPair(ObjectId left, ObjectId right) const;
 
   // The earliest event (queue must be nonempty).
-  virtual const SweepEvent& Min() const = 0;
+  const SweepEvent& Min() const;
 
   // Removes and returns the earliest event.
-  virtual SweepEvent PopMin() = 0;
+  SweepEvent PopMin();
 
-  // Replaces the queue contents with `events` (at most one per pair).
-  // O(|events|) for the leftist implementation — the Theorem 10 fast path.
-  virtual void BulkBuild(std::vector<SweepEvent> events) = 0;
+  // Replaces the queue contents with `events` (at most one per left
+  // object) in O(|events|) — the Theorem 10 fast path.
+  void BulkBuild(std::vector<SweepEvent> events);
 
   // Every queued event, sorted by SweepEventLess. O(N log N); audit and
   // debugging only — not on the sweep's hot path.
-  virtual std::vector<SweepEvent> Snapshot() const = 0;
+  std::vector<SweepEvent> Snapshot() const;
 
-  virtual size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-
-  virtual std::string name() const = 0;
-};
-
-// Lemma 9's implementation: a height-biased leftist tree with handles kept
-// in a pair-keyed map ("bi-directional pointers").
-class LeftistEventQueue : public EventQueue {
- public:
-  void Push(const SweepEvent& event) override;
-  bool ErasePair(ObjectId left, ObjectId right) override;
-  bool HasPair(ObjectId left, ObjectId right) const override;
-  const SweepEvent& Min() const override;
-  SweepEvent PopMin() override;
-  void BulkBuild(std::vector<SweepEvent> events) override;
-  std::vector<SweepEvent> Snapshot() const override;
-  size_t size() const override { return heap_.size(); }
-  std::string name() const override { return "leftist"; }
-
- private:
-  using Heap = LeftistHeap<SweepEvent, SweepEventLess>;
-  using PairKey = std::pair<ObjectId, ObjectId>;
-
-  Heap heap_;
-  std::map<PairKey, Heap::Handle> handles_;
-};
-
-// Alternative implementation over std::set, for the E10 ablation: same
-// asymptotics, different constants.
-class SetEventQueue : public EventQueue {
- public:
-  void Push(const SweepEvent& event) override;
-  bool ErasePair(ObjectId left, ObjectId right) override;
-  bool HasPair(ObjectId left, ObjectId right) const override;
-  const SweepEvent& Min() const override;
-  SweepEvent PopMin() override;
-  void BulkBuild(std::vector<SweepEvent> events) override;
-  std::vector<SweepEvent> Snapshot() const override;
-  size_t size() const override { return events_.size(); }
-  std::string name() const override { return "set"; }
-
- private:
-  using PairKey = std::pair<ObjectId, ObjectId>;
-
-  std::set<SweepEvent, SweepEventLess> events_;
-  std::map<PairKey, SweepEvent> by_pair_;
-};
-
-// The sweep's workhorse: a 4-ary array min-heap indexed by the event's
-// *left* object. Lemma 9 keys events by adjacent pair, but the sweep only
-// ever queues an event for a pair (l, r) while r is l's current successor —
-// so each object is the left endpoint of at most one queued event, and a
-// dense slot per left object replaces the pair-keyed map of handles. No
-// per-node allocation, no tree rebalancing: Push/ErasePair are one hash
-// probe plus a short sift in a flat array. Requires the one-event-per-left
-// invariant (Push CHECK-fails on a second event for the same left object);
-// SweepState maintains it at every schedule site.
-class IndexedEventQueue : public EventQueue {
- public:
-  void Push(const SweepEvent& event) override;
-  bool ErasePair(ObjectId left, ObjectId right) override;
-  bool HasPair(ObjectId left, ObjectId right) const override;
-  const SweepEvent& Min() const override;
-  SweepEvent PopMin() override;
-  void BulkBuild(std::vector<SweepEvent> events) override;
-  std::vector<SweepEvent> Snapshot() const override;
-  size_t size() const override { return heap_.size(); }
-  std::string name() const override { return "indexed"; }
+  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
  private:
   static constexpr uint32_t kArity = 4;
@@ -162,11 +100,6 @@ class IndexedEventQueue : public EventQueue {
   std::vector<uint32_t> free_slots_;
   std::unordered_map<ObjectId, uint32_t> slot_of_;  // left -> slot index.
 };
-
-// Which EventQueue implementation an engine should use.
-enum class EventQueueKind { kLeftist, kSet, kIndexed };
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
 
 }  // namespace modb
 

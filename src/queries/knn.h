@@ -60,8 +60,7 @@ class KnnKernel : public SweepListener {
 // One-shot past k-NN (Theorem 4 path): sweeps `interval` and returns the
 // full snapshot timeline.
 AnswerTimeline PastKnn(const MovingObjectDatabase& mod, GDistancePtr gdist,
-                       size_t k, TimeInterval interval,
-                       EventQueueKind queue_kind = EventQueueKind::kIndexed);
+                       size_t k, TimeInterval interval);
 
 // Direct O(N) snapshot evaluation at one instant — the trivially correct
 // reference the kernels are tested against. Ties at the k-th value admit

@@ -40,8 +40,7 @@ class QueryServer {
  public:
   // The server owns the MOD. `start_time` must be at or after the MOD's
   // last update time.
-  QueryServer(MovingObjectDatabase mod, double start_time,
-              EventQueueKind queue_kind = EventQueueKind::kIndexed);
+  QueryServer(MovingObjectDatabase mod, double start_time);
 
   // Registers standing queries. O(N log N) for the first query under a
   // key (builds the sweep); O(N) kernel attach for subsequent ones.
@@ -121,15 +120,16 @@ class QueryServer {
 
   MovingObjectDatabase mod_;  // Mirror of record; engines hold copies.
   double now_;
-  EventQueueKind queue_kind_;
+  // Heap-owned so the server stays movable (the ledger holds a mutex) and
+  // cached CostCell pointers survive a server move. Declared before
+  // engines_ so it outlives them: a within kernel's destructor erases its
+  // sentinel, and the sweep charges that erase to the ledger.
+  std::unique_ptr<obs::QueryCostLedger> ledger_ =
+      std::make_unique<obs::QueryCostLedger>();
   std::map<std::string, EngineGroup> engines_;
   std::map<QueryId, QueryRef> queries_;
   QueryId next_id_ = 0;
   ObjectId next_sentinel_ = -1000000;
-  // Heap-owned so the server stays movable (the ledger holds a mutex) and
-  // cached CostCell pointers survive a server move.
-  std::unique_ptr<obs::QueryCostLedger> ledger_ =
-      std::make_unique<obs::QueryCostLedger>();
 };
 
 }  // namespace modb

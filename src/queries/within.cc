@@ -68,8 +68,8 @@ void WithinKernel::OnErase(double time, ObjectId oid) {
 
 AnswerTimeline PastWithin(const MovingObjectDatabase& mod, GDistancePtr gdist,
                           double threshold, TimeInterval interval,
-                          ObjectId sentinel_oid, EventQueueKind queue_kind) {
-  PastQueryEngine engine(mod, std::move(gdist), interval, queue_kind);
+                          ObjectId sentinel_oid) {
+  PastQueryEngine engine(mod, std::move(gdist), interval);
   WithinKernel kernel(&engine.state(), sentinel_oid, threshold);
   engine.Run();
   kernel.timeline().Finish(interval.hi);

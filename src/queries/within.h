@@ -56,8 +56,7 @@ class WithinKernel : public SweepListener {
 // One-shot past range query over `interval`.
 AnswerTimeline PastWithin(const MovingObjectDatabase& mod, GDistancePtr gdist,
                           double threshold, TimeInterval interval,
-                          ObjectId sentinel_oid = -1000,
-                          EventQueueKind queue_kind = EventQueueKind::kIndexed);
+                          ObjectId sentinel_oid = -1000);
 
 // Direct O(N) snapshot reference.
 std::set<ObjectId> SnapshotWithin(const MovingObjectDatabase& mod,

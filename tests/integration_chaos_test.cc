@@ -23,7 +23,6 @@ struct ChaosParams {
   size_t num_objects;
   size_t k;
   double mean_gap;
-  EventQueueKind queue_kind;
 };
 
 class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
@@ -48,7 +47,7 @@ TEST_P(ChaosTest, KnnKernelSurvivesRandomStream) {
 
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Linear(0.0, Vec{50.0, -20.0}, Vec{-1.0, 1.5}));
-  FutureQueryEngine engine(initial, gdist, 0.0, kInf, params.queue_kind);
+  FutureQueryEngine engine(initial, gdist, 0.0);
   KnnKernel kernel(&engine.state(), params.k);
   engine.Start();
 
@@ -109,7 +108,7 @@ TEST_P(ChaosTest, WithinKernelSurvivesRandomStream) {
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Stationary(0.0, Vec{0.0, 0.0}));
   const double threshold = 200.0 * 200.0;
-  FutureQueryEngine engine(initial, gdist, 0.0, kInf, params.queue_kind);
+  FutureQueryEngine engine(initial, gdist, 0.0);
   WithinKernel kernel(&engine.state(), /*sentinel_oid=*/-9, threshold);
   engine.Start();
 
@@ -135,13 +134,13 @@ TEST_P(ChaosTest, WithinKernelSurvivesRandomStream) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ChaosTest,
     ::testing::Values(
-        ChaosParams{11, 15, 1, 0.5, EventQueueKind::kLeftist},
-        ChaosParams{22, 30, 3, 1.0, EventQueueKind::kLeftist},
-        ChaosParams{33, 50, 5, 2.0, EventQueueKind::kLeftist},
-        ChaosParams{44, 30, 3, 1.0, EventQueueKind::kSet},
-        ChaosParams{55, 25, 2, 4.0, EventQueueKind::kLeftist},
-        ChaosParams{66, 30, 3, 1.0, EventQueueKind::kIndexed},
-        ChaosParams{77, 50, 5, 2.0, EventQueueKind::kIndexed}),
+        ChaosParams{11, 15, 1, 0.5},
+        ChaosParams{22, 30, 3, 1.0},
+        ChaosParams{33, 50, 5, 2.0},
+        ChaosParams{44, 30, 3, 1.0},
+        ChaosParams{55, 25, 2, 4.0},
+        ChaosParams{66, 30, 3, 1.0},
+        ChaosParams{77, 50, 5, 2.0}),
     [](const auto& info) { return "Seed" + std::to_string(info.param.seed); });
 
 }  // namespace

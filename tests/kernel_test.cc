@@ -1,10 +1,12 @@
 // Tests for the SOA segment pool and the batched sweep kernels: exact
-// round-trips, bit-identical pooled/scalar/AVX2 crossing results against
+// round-trips, bit-identical pooled and batched crossing results against
 // the legacy GCurve machinery, the direct euclid pool builder, and the
 // docs/KERNELS.md lockstep contract.
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <regex>
 #include <set>
@@ -18,6 +20,7 @@
 #include "gdist/curve.h"
 #include "gdist/curve_batch.h"
 #include "geom/curve_pool.h"
+#include "geom/piecewise_poly.h"
 #include "geom/roots_batch.h"
 #include "trajectory/trajectory.h"
 
@@ -220,8 +223,10 @@ std::vector<CellCase> BuildCellCorpus() {
   return cells;
 }
 
-TEST(QuadCellKernelTest, Avx2MatchesScalarBitExact) {
-  if (!Avx2Available()) GTEST_SKIP() << "CPU lacks AVX2";
+// The batched quad-cell kernel must reproduce the legacy merged-segment
+// walk (FirstTimeDifferencePositive on the cell's polynomial against zero)
+// bit-for-bit on every corpus cell, +inf standing for "never positive".
+TEST(QuadCellKernelTest, MatchesLegacyWalkBitExact) {
   const std::vector<CellCase> cells = BuildCellCorpus();
   const size_t n = cells.size();
   std::vector<double> d0(n), d1(n), d2(n), lo(n), hi(n);
@@ -233,25 +238,32 @@ TEST(QuadCellKernelTest, Avx2MatchesScalarBitExact) {
     hi[i] = cells[i].hi;
   }
   const RootOptions options;
-  std::vector<double> avx(n);
+  std::vector<double> out(n);
   const QuadCellBatch batch{d0.data(), d1.data(), d2.data(), lo.data(),
                             hi.data()};
-  FirstPositiveQuadBatchAvx2(batch, n, options.tol, avx.data());
+  FirstPositiveQuadBatch(batch, n, options.tol, out.data());
   for (size_t i = 0; i < n; ++i) {
-    const double scalar = FirstPositiveQuadCell(d0[i], d1[i], d2[i], lo[i],
-                                                hi[i], options.tol);
+    PiecewisePoly cell;
+    cell.AppendPiece(lo[i], Polynomial({d0[i], d1[i], d2[i]}));
+    cell.SetDomainEnd(hi[i]);
+    PiecewisePoly zero;
+    zero.AppendPiece(lo[i], Polynomial({0.0}));
+    zero.SetDomainEnd(hi[i]);
+    const std::optional<double> walk =
+        FirstTimeDifferencePositive(cell, zero, lo[i], hi[i], options);
+    const double expected = walk.value_or(kInf);
     // Bit-exact: compare representations, not values (both may be inf).
-    ASSERT_EQ(std::memcmp(&scalar, &avx[i], sizeof(double)), 0)
-        << "cell " << i << ": scalar=" << scalar << " avx2=" << avx[i]
+    ASSERT_EQ(std::memcmp(&expected, &out[i], sizeof(double)), 0)
+        << "cell " << i << ": walk=" << expected << " kernel=" << out[i]
         << " d=(" << d0[i] << ", " << d1[i] << ", " << d2[i] << ") window=["
         << lo[i] << ", " << hi[i] << "]";
   }
 }
 
-// FirstCrossingBatch must agree with the per-pair pooled walk under both
-// kernels (the batch stages cells in rounds; the walk runs them one by
-// one — identical cells, identical answers).
-TEST(CrossingBatchTest, MatchesPooledWalkUnderBothKernels) {
+// FirstCrossingBatch must agree with the per-pair pooled walk (the batch
+// stages cells in rounds; the walk runs them one by one — identical cells,
+// identical answers).
+TEST(CrossingBatchTest, MatchesPooledWalk) {
   std::mt19937 rng(31337);
   const RootOptions options;
   PolySegPool pool;
@@ -267,24 +279,13 @@ TEST(CrossingBatchTest, MatchesPooledWalkUnderBothKernels) {
     expected.push_back(
         FirstCrossingPooled(pool, ref.a, ref.b, lo, hi, options));
   }
-  for (KernelKind kind : {KernelKind::kScalar, KernelKind::kAvx2}) {
-    if (kind == KernelKind::kAvx2 && !Avx2Available()) continue;
-    SetKernelOverride(kind);
-    std::vector<double> out(pairs.size());
-    CrossingScratch scratch;
-    FirstCrossingBatch(pool, pairs.data(), pairs.size(), lo, hi, options,
-                       out.data(), &scratch);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      if (expected[i].has_value()) {
-        ASSERT_EQ(out[i], *expected[i]) << "pair " << i << " under "
-                                        << KernelKindName(kind);
-      } else {
-        ASSERT_EQ(out[i], kInf) << "pair " << i << " under "
-                                << KernelKindName(kind);
-      }
-    }
+  std::vector<double> out(pairs.size());
+  CrossingScratch scratch;
+  FirstCrossingBatch(pool, pairs.data(), pairs.size(), lo, hi, options,
+                     out.data(), &scratch);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(out[i], expected[i].value_or(kInf)) << "pair " << i;
   }
-  SetKernelOverride(std::nullopt);
 }
 
 // The direct euclid pool builder must produce the same coefficients as the

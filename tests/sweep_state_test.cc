@@ -41,10 +41,8 @@ GDistancePtr OriginDistance1D() {
       Trajectory::Stationary(0.0, Vec{0.0}));
 }
 
-class SweepStateTest : public ::testing::TestWithParam<EventQueueKind> {};
-
-TEST_P(SweepStateTest, TwoObjectsSwapAtCrossing) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, TwoObjectsSwapAtCrossing) {
+  SweepState state(OriginDistance1D(), 0.0);
   RecordingListener listener;
   state.AddListener(&listener);
   // o1 at 10 moving in; o2 at 2 stationary-ish; f1 = (10-t)², f2 = 4.
@@ -68,8 +66,8 @@ TEST_P(SweepStateTest, TwoObjectsSwapAtCrossing) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, StatsCountSupportChanges) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, StatsCountSupportChanges) {
+  SweepState state(OriginDistance1D(), 0.0);
   state.InsertObject(1, Trajectory::Linear(0.0, Vec{10.0}, Vec{-1.0}));
   state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));
   state.AdvanceTo(20.0);
@@ -78,8 +76,8 @@ TEST_P(SweepStateTest, StatsCountSupportChanges) {
   EXPECT_EQ(state.stats().SupportChanges(), 4u);
 }
 
-TEST_P(SweepStateTest, InsertionRepairsAdjacentPairs) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, InsertionRepairsAdjacentPairs) {
+  SweepState state(OriginDistance1D(), 0.0);
   state.InsertObject(1, Trajectory::Stationary(0.0, Vec{1.0}));   // f = 1.
   state.InsertObject(3, Trajectory::Stationary(0.0, Vec{3.0}));   // f = 9.
   state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));   // f = 4.
@@ -89,8 +87,8 @@ TEST_P(SweepStateTest, InsertionRepairsAdjacentPairs) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, EraseClosesTheGap) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, EraseClosesTheGap) {
+  SweepState state(OriginDistance1D(), 0.0);
   state.InsertObject(1, Trajectory::Stationary(0.0, Vec{1.0}));
   state.InsertObject(2, Trajectory::Linear(0.0, Vec{2.0}, Vec{1.0}));
   state.InsertObject(3, Trajectory::Stationary(0.0, Vec{3.0}));
@@ -100,8 +98,8 @@ TEST_P(SweepStateTest, EraseClosesTheGap) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, ReplaceCurveCancelsAndReschedules) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, ReplaceCurveCancelsAndReschedules) {
+  SweepState state(OriginDistance1D(), 0.0);
   // o1 approaches the origin: crossing with o2's constant 4 at t = 8.
   Trajectory o1 = Trajectory::Linear(0.0, Vec{10.0}, Vec{-1.0});
   state.InsertObject(1, o1);
@@ -117,10 +115,10 @@ TEST_P(SweepStateTest, ReplaceCurveCancelsAndReschedules) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, ReplaceCurveWithValueJumpBubblesIntoPlace) {
+TEST(SweepStateTest, ReplaceCurveWithValueJumpBubblesIntoPlace) {
   // The paper's relaxed-continuity setting: a curve replacement that jumps
   // the value repositions the object via a cascade of same-instant swaps.
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+  SweepState state(OriginDistance1D(), 0.0);
   state.InsertObject(1, Trajectory::Stationary(0.0, Vec{1.0}));  // f = 1.
   state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));  // f = 4.
   state.InsertObject(3, Trajectory::Stationary(0.0, Vec{3.0}));  // f = 9.
@@ -134,8 +132,8 @@ TEST_P(SweepStateTest, ReplaceCurveWithValueJumpBubblesIntoPlace) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, SentinelParticipatesInOrder) {
-  SweepState state(OriginDistance1D(), 0.0, kInf, GetParam());
+TEST(SweepStateTest, SentinelParticipatesInOrder) {
+  SweepState state(OriginDistance1D(), 0.0);
   state.InsertObject(1, Trajectory::Linear(0.0, Vec{10.0}, Vec{-1.0}));
   state.InsertSentinel(-7, 25.0);  // Threshold: distance² = 25.
   EXPECT_TRUE(state.IsSentinel(-7));
@@ -148,13 +146,13 @@ TEST_P(SweepStateTest, SentinelParticipatesInOrder) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, QueueLengthBoundedByN) {
+TEST(SweepStateTest, QueueLengthBoundedByN) {
   // Lemma 9: adjacent pairs only -> queue length <= N - 1.
   const RandomModOptions options{.num_objects = 60, .dim = 2, .seed = 31};
   const MovingObjectDatabase mod = RandomMod(options);
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Stationary(0.0, Vec{0.0, 0.0}));
-  SweepState state(gdist, 0.0, kInf, GetParam());
+  SweepState state(gdist, 0.0);
   for (const auto& [oid, trajectory] : mod.objects()) {
     state.InsertObject(oid, trajectory);
     EXPECT_LE(state.queue_length(), state.size());
@@ -165,14 +163,14 @@ TEST_P(SweepStateTest, QueueLengthBoundedByN) {
   state.CheckInvariants();
 }
 
-TEST_P(SweepStateTest, OrderMatchesResortAtManyTimes) {
+TEST(SweepStateTest, OrderMatchesResortAtManyTimes) {
   // Property: after any amount of sweeping, the maintained order equals a
   // fresh sort by curve value.
   const RandomModOptions options{.num_objects = 40, .dim = 2, .seed = 57};
   const MovingObjectDatabase mod = RandomMod(options);
   auto gdist = std::make_shared<SquaredEuclideanGDistance>(
       Trajectory::Linear(0.0, Vec{100.0, -50.0}, Vec{-3.0, 2.0}));
-  SweepState state(gdist, 0.0, kInf, GetParam());
+  SweepState state(gdist, 0.0);
   for (const auto& [oid, trajectory] : mod.objects()) {
     state.InsertObject(oid, trajectory);
   }
@@ -182,8 +180,8 @@ TEST_P(SweepStateTest, OrderMatchesResortAtManyTimes) {
   }
 }
 
-TEST_P(SweepStateTest, HorizonSuppressesLaterEvents) {
-  SweepState state(OriginDistance1D(), 0.0, /*horizon=*/5.0, GetParam());
+TEST(SweepStateTest, HorizonSuppressesLaterEvents) {
+  SweepState state(OriginDistance1D(), 0.0, /*horizon=*/5.0);
   // Crossing would be at t = 8, beyond the horizon.
   state.InsertObject(1, Trajectory::Linear(0.0, Vec{10.0}, Vec{-1.0}));
   state.InsertObject(2, Trajectory::Stationary(0.0, Vec{2.0}));
@@ -192,19 +190,10 @@ TEST_P(SweepStateTest, HorizonSuppressesLaterEvents) {
   EXPECT_EQ(state.stats().swaps, 0u);
 }
 
-TEST_P(SweepStateTest, AdvanceBackwardsDies) {
-  SweepState state(OriginDistance1D(), 10.0, kInf, GetParam());
+TEST(SweepStateTest, AdvanceBackwardsDies) {
+  SweepState state(OriginDistance1D(), 10.0);
   EXPECT_DEATH(state.AdvanceTo(9.0), "");
 }
-
-INSTANTIATE_TEST_SUITE_P(AllQueueKinds, SweepStateTest,
-                         ::testing::Values(EventQueueKind::kLeftist,
-                                           EventQueueKind::kSet),
-                         [](const auto& info) {
-                           return info.param == EventQueueKind::kLeftist
-                                      ? "Leftist"
-                                      : "Set";
-                         });
 
 }  // namespace
 }  // namespace modb
