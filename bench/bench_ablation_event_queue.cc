@@ -20,6 +20,7 @@ struct RunStats {
   double seconds;
   uint64_t support_changes;
   size_t max_queue;
+  size_t live_at_peak;  // Objects in the order when the peak was reached.
 };
 
 RunStats RunWorkload(size_t n) {
@@ -46,23 +47,29 @@ RunStats RunWorkload(size_t n) {
     engine.AdvanceTo(engine.now() + 5.0);
   });
   return RunStats{seconds, engine.stats().SupportChanges(),
-                  engine.stats().max_queue_length};
+                  engine.stats().max_queue_length,
+                  engine.stats().order_at_max_queue};
 }
 
 void Ablation(bench::JsonSink* sink) {
   std::printf(
       "E10: event queue (Lemma 9) on init + 300 updates + 5 time units "
       "of sweep.\n"
-      "Verifies the adjacent-pairs-only invariant: max queue <= N-1.\n");
+      "Verifies the adjacent-pairs-only invariant: max queue <= N-1, with\n"
+      "N the live object count when the peak was reached (new/terminate\n"
+      "updates move it away from the initial N).\n");
   bench::Table table(sink, "queue_ablation",
-                     {"N", "time_ms", "m", "max_queue"});
+                     {"N", "time_ms", "m", "max_queue", "live_at_peak"});
   for (size_t n : {500, 2000, 8000}) {
     const RunStats stats = RunWorkload(n);
-    MODB_CHECK(stats.max_queue <= n - 1)
-        << "queue bound violated: " << stats.max_queue;
+    MODB_CHECK(stats.live_at_peak > 0 &&
+               stats.max_queue <= stats.live_at_peak - 1)
+        << "queue bound violated: " << stats.max_queue << " events with "
+        << stats.live_at_peak << " objects";
     table.Row({static_cast<double>(n), stats.seconds * 1e3,
                static_cast<double>(stats.support_changes),
-               static_cast<double>(stats.max_queue)});
+               static_cast<double>(stats.max_queue),
+               static_cast<double>(stats.live_at_peak)});
   }
 }
 

@@ -6,17 +6,20 @@
 // ShardedQueryServer, while R reader threads poll the lock-free merged
 // Answer() path of standing kNN/within queries with a small think time.
 // Every configuration runs at equal durability (SyncPolicy::kEveryRecord
-// on every shard WAL), so the only variable is how many shared-nothing
-// shards the hash partition spreads the bursts over: at S=1 every burst
-// serializes behind one shard's WAL fsync, at S=K bursts for different
-// vehicles commit on K independent WALs concurrently — the per-shard
-// fsync chain shrinks by K while answer publication overlaps the other
-// shards' syncs.
+// on every shard WAL).
+//
+// What bounds it: commits serialize on the server's epoch lock through
+// both phases, so two shards never overlap their fsyncs. Each commit pays
+// the phase-1 log + fsync, the sweep apply on its shard (which shrinks
+// with S: fewer objects per shard, fewer swaps per chdir) and the
+// republication of that shard's kNN cells (which does not). EXPERIMENTS.md
+// E15 has the per-layer split.
 //
 // Claim: write throughput of the mixed workload at S=4 is >= 3x S=1 (the
-// acceptance floor tracked by the committed BENCH_server_throughput.json);
-// readers never take a lock, so reads stay wait-free while writes
-// scale.
+// acceptance floor tracked by the committed BENCH_server_throughput.json).
+// Since publication does only the work it needs, the floor can hold only
+// once commits stop serializing on the epoch lock. Readers never take a
+// lock.
 
 #include <atomic>
 #include <chrono>
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "obs/modb_metrics.h"
 #include "shard/sharded_server.h"
 
 namespace modb {
@@ -129,10 +131,9 @@ RunResult RunConfig(size_t shards, size_t rounds) {
   // A realistic standing-query load: one hot reference point (a popular
   // POI) with many subscribed standing queries of varying k and radius,
   // all sharing one sweep (one gdist key group). The apply fan-out stays
-  // at one engine per shard, while answer publication — per QUERY, per
-  // member — is the bulk of the post-commit work. Publish touches only
-  // the DIRTY shard's cells, so that work localizes (and shrinks) as S
-  // grows: the shared-nothing read-path win this bench measures.
+  // at one engine per shard; each commit then republishes the routed
+  // shard's 48 kNN cells (their values move with the clock) and only the
+  // within cells whose membership changed.
   const Trajectory center = Trajectory::Stationary(0.0, Vec{30.0, 30.0});
   std::vector<QueryId> query_ids;
   for (size_t q = 0; q < 48; ++q) {
@@ -185,16 +186,6 @@ RunResult RunConfig(size_t shards, size_t rounds) {
   });
   result.reads = reads.load();
   result.steals = db.pool_steals();
-#ifdef MODB_BENCH_DIAG
-  static double last_flush = 0, last_update = 0, last_dispatch = 0;
-  const double flush = obs::M().commit_flush_seconds->Sum();
-  const double update = obs::M().future_update_seconds->Sum();
-  const double dispatch = obs::M().shard_dispatch_seconds->Sum();
-  std::printf("DIAG S=%zu wall=%.3f flush=%.3f update=%.3f dispatch=%.3f\n",
-              shards, result.seconds, flush - last_flush,
-              update - last_update, dispatch - last_dispatch);
-  last_flush = flush; last_update = update; last_dispatch = dispatch;
-#endif
 
   const std::string closed_dir = db.dir();
   opened->reset();

@@ -18,6 +18,7 @@ void AnswerTimeline::Record(double time, std::set<ObjectId> answer) {
   MODB_CHECK(!explicit_mode_) << "Record after AddSegment";
   MODB_CHECK_GE(time, pending_time_);
   if (answer == pending_answer_) return;
+  ++changes_;
   obs::M().answer_changes->Increment();
   obs::TraceInstant(obs::SpanName::kAnswerChange, obs::kTraceNoId, time,
                     answer.size(), /*coarse=*/true);

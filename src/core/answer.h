@@ -1,6 +1,7 @@
 #ifndef MODB_CORE_ANSWER_H_
 #define MODB_CORE_ANSWER_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,6 +48,10 @@ class AnswerTimeline {
 
   bool finished() const { return finished_; }
   double start() const { return start_; }
+  // Number of Record() calls that changed the answer set (the same
+  // condition modb.query.answer_changes counts). Publishers compare it
+  // against the value at their last publish to skip unchanged answers.
+  uint64_t changes() const { return changes_; }
   const std::vector<Segment>& segments() const { return segments_; }
 
   // The answer at time t (t within [start, end]). At a boundary shared by a
@@ -77,6 +82,7 @@ class AnswerTimeline {
   bool has_pending_ = false;
   bool explicit_mode_ = false;
   bool finished_ = false;
+  uint64_t changes_ = 0;
   std::vector<Segment> segments_;
   obs::CostCell* cost_ = nullptr;
 };

@@ -29,6 +29,7 @@ class FutureQueryEngine {
                     double start_time, double horizon = kInf);
 
   SweepState& state() { return *state_; }
+  const SweepState& state() const { return *state_; }
   const MovingObjectDatabase& mod() const { return mod_; }
   double now() const { return state_->now(); }
   bool started() const { return started_; }

@@ -101,7 +101,10 @@ std::optional<double> SweepState::EntryFirstCrossing(
 }
 
 void SweepState::NoteQueueLength() {
-  stats_.max_queue_length = std::max(stats_.max_queue_length, queue_.size());
+  if (queue_.size() > stats_.max_queue_length) {
+    stats_.max_queue_length = queue_.size();
+    stats_.order_at_max_queue = order_.size();
+  }
   metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_.size()));
 }
 
@@ -405,6 +408,16 @@ void SweepState::ReplaceGDistance(
         if (event.has_value()) events.push_back(*event);
       }
     }
+  }
+  // The rebuild drops every queued event and schedules the new ones:
+  // count both, so scheduled - fired - cancelled stays the queue length.
+  const size_t dropped = queue_.size();
+  const size_t scheduled = events.size();
+  metrics_->sweep_events_cancelled->Increment(dropped);
+  metrics_->sweep_events_scheduled->Increment(scheduled);
+  if (cost_ != nullptr) {
+    cost_->cancels.fetch_add(dropped, std::memory_order_relaxed);
+    cost_->schedules.fetch_add(scheduled, std::memory_order_relaxed);
   }
   queue_.BulkBuild(std::move(events));
   NoteQueueLength();

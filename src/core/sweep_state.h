@@ -61,6 +61,7 @@ struct SweepStats {
   uint64_t curve_rebuilds = 0;     // chdir-driven curve replacements.
   uint64_t crossings_computed = 0; // Pairwise crossing computations.
   size_t max_queue_length = 0;     // Peak event-queue length (≤ N - 1).
+  size_t order_at_max_queue = 0;   // Order size N when that peak was set.
 
   uint64_t SupportChanges() const { return swaps + inserts + erases; }
 };

@@ -419,6 +419,11 @@ const AnswerTimeline& DurableQueryServer::Timeline(QueryId id) const {
   return server_.Timeline(public_to_internal_.at(id));
 }
 
+double DurableQueryServer::AnswerValue(QueryId id, ObjectId oid,
+                                       double t) const {
+  return server_.AnswerValue(public_to_internal_.at(id), oid, t);
+}
+
 obs::QueryCostReport DurableQueryServer::ExplainQuery(QueryId id) const {
   auto it = public_to_internal_.find(id);
   if (it == public_to_internal_.end()) {

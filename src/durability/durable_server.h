@@ -162,6 +162,8 @@ class DurableQueryServer {
   // Answer/Timeline by durable id (aborts on unknown id, like QueryServer).
   const std::set<ObjectId>& Answer(QueryId id) const;
   const AnswerTimeline& Timeline(QueryId id) const;
+  // QueryServer::AnswerValue by durable id.
+  double AnswerValue(QueryId id, ObjectId oid, double t) const;
 
   // Cost report by durable public id (found == false if the id was never
   // registered this process lifetime; ledger rows start from zero at

@@ -189,8 +189,9 @@ ModbMetrics Register() {
       "sub-batches and advance fan-outs).");
   m.shard_dispatch_seconds = r.RegisterHistogram(
       "modb.shard.dispatch_seconds", "seconds",
-      "Wall time of one per-shard task: take the shard lock, apply the "
-      "sub-batch (or advance), republish the shard's answer cells.",
+      "Wall time of one per-shard task: in a commit, the phase-1 log of "
+      "the sub-batch (shard lock, WAL append, fsync); in AdvanceTo, the "
+      "advance and republish.",
       LatencyBuckets());
   m.shard_merges = r.RegisterCounter(
       "modb.shard.merges", "merges",
@@ -203,7 +204,9 @@ ModbMetrics Register() {
       LatencyBuckets());
   m.shard_publishes = r.RegisterCounter(
       "modb.shard.publishes", "publishes",
-      "Per-(shard, query) seqlock answer publications.");
+      "Per-(shard, query) seqlock answer publications: kNN cells after "
+      "every apply or advance, within cells when their membership "
+      "changed, and a new query's cells at registration.");
   m.shard_steals = r.RegisterCounter(
       "modb.shard.steals", "steals",
       "Pool tasks executed by a worker other than the one they were "

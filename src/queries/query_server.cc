@@ -154,6 +154,12 @@ const AnswerTimeline& QueryServer::Timeline(QueryId id) const {
                     : group.within_kernels.at(id)->timeline();
 }
 
+double QueryServer::AnswerValue(QueryId id, ObjectId oid, double t) const {
+  auto it = queries_.find(id);
+  MODB_CHECK(it != queries_.end()) << "unknown query id " << id;
+  return engines_.at(it->second.key).engine->state().CurveValue(oid, t);
+}
+
 void QueryServer::VisitEngines(
     const std::function<void(const std::string&, FutureQueryEngine&)>& fn) {
   for (auto& [key, group] : engines_) fn(key, *group.engine);
@@ -214,8 +220,10 @@ SweepStats QueryServer::TotalStats() const {
     total.erases += stats.erases;
     total.curve_rebuilds += stats.curve_rebuilds;
     total.crossings_computed += stats.crossings_computed;
-    total.max_queue_length =
-        std::max(total.max_queue_length, stats.max_queue_length);
+    if (stats.max_queue_length > total.max_queue_length) {
+      total.max_queue_length = stats.max_queue_length;
+      total.order_at_max_queue = stats.order_at_max_queue;
+    }
   }
   return total;
 }

@@ -74,6 +74,12 @@ class QueryServer {
   // timeline is unfinished (grows as the server advances).
   const AnswerTimeline& Timeline(QueryId id) const;
 
+  // The g-distance value of object `oid` at time t under the query's
+  // group sweep — the value the sweep ranks `oid` by. Read from the
+  // sweep's pooled curve, which is bit-identical to the group g-distance's
+  // GCurve::Eval. `oid` must be in the sweep (every answer member is).
+  double AnswerValue(QueryId id, ObjectId oid, double t) const;
+
   // Aggregate sweep statistics across all engines.
   SweepStats TotalStats() const;
 

@@ -12,8 +12,9 @@ namespace modb {
 
 // One shard's published answer for one standing query: the member objects
 // with their g-distance values at the publish instant, plus that instant
-// itself. Values ride along so the cross-shard k-NN/fastest merge can
-// rank candidates without touching any shard state.
+// itself. Values ride along so the cross-shard k-NN merge can rank
+// candidates without touching any shard state; within answers merge by
+// union and carry value 0.
 struct ShardAnswerEntry {
   ObjectId oid = kInvalidObjectId;
   double value = 0.0;

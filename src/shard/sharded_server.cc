@@ -22,7 +22,7 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// Entries leave PublishShardLocked in canonical order; keep one sorter.
+// Entries leave PublishCellLocked in canonical order; keep one sorter.
 void SortCanonical(std::vector<ShardAnswerEntry>* entries) {
   std::sort(entries->begin(), entries->end(),
             [](const ShardAnswerEntry& a, const ShardAnswerEntry& b) {
@@ -334,27 +334,8 @@ Status ShardedQueryServer::RebuildQueryStates() {
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     queries_.clear();
-    group_gdists_.clear();
     for (const auto& [id, logged] : reference) {
-      auto state = std::make_unique<QueryState>();
-      state->logged = logged;
-      // Journal id order is registration order, so the first live query
-      // under each key founds its group — the same choice every shard's
-      // recovered QueryServer makes.
-      auto group = group_gdists_.find(logged.gdist_key);
-      if (group == group_gdists_.end()) {
-        group = group_gdists_
-                    .emplace(logged.gdist_key,
-                             std::make_shared<SquaredEuclideanGDistance>(
-                                 logged.query))
-                    .first;
-      }
-      state->gdist = group->second;
-      state->cells.reserve(shards_.size());
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        state->cells.push_back(std::make_unique<AnswerCell>());
-      }
-      queries_.emplace(id, std::move(state));
+      queries_.emplace(id, NewQueryState(logged));
     }
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -364,26 +345,57 @@ Status ShardedQueryServer::RebuildQueryStates() {
   return Status::Ok();
 }
 
+std::unique_ptr<ShardedQueryServer::QueryState>
+ShardedQueryServer::NewQueryState(const LoggedQuery& logged) const {
+  auto state = std::make_unique<QueryState>();
+  state->logged = logged;
+  state->cells.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    state->cells.push_back(std::make_unique<AnswerCell>());
+  }
+  state->published_changes.assign(shards_.size(), kNeverPublished);
+  return state;
+}
+
+void ShardedQueryServer::PublishCellLocked(size_t s, QueryId id,
+                                           QueryState* state) {
+  const DurableQueryServer& db = *shards_[s]->db;
+  const double t = db.server().now();
+  const std::set<ObjectId>& answer = db.Answer(id);
+  std::vector<ShardAnswerEntry> entries;
+  entries.reserve(answer.size());
+  if (state->logged.is_knn) {
+    // Values from the sweep that ranked this answer, so the merge ranks
+    // with the shard's own g-distance (a gdist-key group's founder's).
+    for (ObjectId oid : answer) {
+      entries.push_back(ShardAnswerEntry{oid, db.AnswerValue(id, oid, t)});
+    }
+    SortCanonical(&entries);
+  } else {
+    // MergeUnion reads ids only; the set's order is already canonical.
+    for (ObjectId oid : answer) entries.push_back(ShardAnswerEntry{oid});
+  }
+  state->cells[s]->Publish(t, entries);
+  state->published_changes[s] = db.Timeline(id).changes();
+  obs::M().shard_publishes->Increment();
+}
+
 void ShardedQueryServer::PublishShardLocked(size_t s) {
   // A placeholder shard publishes nothing; its cells stay empty and
   // AnswerPartial reports it degraded.
   if (shards_[s]->db == nullptr) return;
-  DurableQueryServer& db = *shards_[s]->db;
-  const double t = db.server().now();
+  const DurableQueryServer& db = *shards_[s]->db;
   std::lock_guard<std::mutex> lock(queries_mu_);
   for (const auto& [id, state] : queries_) {
-    const std::set<ObjectId>& answer = db.Answer(id);
-    std::vector<ShardAnswerEntry> entries;
-    entries.reserve(answer.size());
-    for (ObjectId oid : answer) {
-      const Trajectory* trajectory = db.server().mod().Find(oid);
-      if (trajectory == nullptr) continue;  // Terminated mid-publish: gone.
-      entries.push_back(
-          ShardAnswerEntry{oid, state->gdist->Curve(*trajectory).Eval(t)});
+    // kNN values move with the clock, so kNN cells always republish. A
+    // within cell holds ids only: by Lemma 7 its answer changes only at a
+    // support change the timeline records, so an unchanged count means an
+    // unchanged cell.
+    if (!state->logged.is_knn &&
+        state->published_changes[s] == db.Timeline(id).changes()) {
+      continue;
     }
-    SortCanonical(&entries);
-    state->cells[s]->Publish(t, entries);
-    obs::M().shard_publishes->Increment();
+    PublishCellLocked(s, id, state.get());
   }
 }
 
@@ -598,28 +610,17 @@ StatusOr<QueryId> ShardedQueryServer::AddFanOut(const LoggedQuery& prototype) {
     return failure;
   }
 
-  auto state = std::make_unique<QueryState>();
-  state->logged = prototype;
-  auto group = group_gdists_.find(prototype.gdist_key);
-  if (group == group_gdists_.end()) {
-    group = group_gdists_
-                .emplace(prototype.gdist_key,
-                         std::make_shared<SquaredEuclideanGDistance>(
-                             prototype.query))
-                .first;
-  }
-  state->gdist = group->second;
-  state->cells.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    state->cells.push_back(std::make_unique<AnswerCell>());
-  }
+  QueryState* state = nullptr;
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    queries_.emplace(*id, std::move(state));
+    state = queries_.emplace(*id, NewQueryState(prototype))
+                .first->second.get();
   }
+  // Registration changes no other query's answer: publish only the new
+  // query's S cells. `state` stays valid: removal needs reg_mu_.
   for (size_t s = 0; s < shards_.size(); ++s) {
     std::lock_guard<std::mutex> lock(shards_[s]->mu);
-    PublishShardLocked(s);
+    PublishCellLocked(s, *id, state);
   }
   return *id;
 }
@@ -674,21 +675,7 @@ Status ShardedQueryServer::RemoveQuery(QueryId id) {
   // removed the query.
   {
     std::lock_guard<std::mutex> queries_lock(queries_mu_);
-    auto it = queries_.find(id);
-    if (it != queries_.end()) {
-      const std::string key = it->second->logged.gdist_key;
-      queries_.erase(it);
-      bool key_in_use = false;
-      for (const auto& [other_id, state] : queries_) {
-        if (state->logged.gdist_key == key) {
-          key_in_use = true;
-          break;
-        }
-      }
-      // The key's engine group dies with its last query; a future
-      // re-registration founds a fresh group, so mirror that.
-      if (!key_in_use) group_gdists_.erase(key);
-    }
+    queries_.erase(id);
   }
   Status first;
   for (size_t s = 0; s < shards_.size(); ++s) {

@@ -68,10 +68,11 @@ struct PartialAnswer {
 // state, WAL segment chain and snapshots under <dir>/shard-NNN/ — so
 // ingest parallelizes with no shared mutable state between shards.
 // Standing queries register fan-out on every shard; after each batch a
-// shard applies, it republishes its local answer (members + g-distance
-// values) into a per-(query, shard) seqlock cell (answer_board.h), and
-// Answer() merges the S cells through the canonical rules in
-// queries/merge.h. Readers never take any shard or pool lock.
+// shard applies, it republishes its local answers into per-(query, shard)
+// seqlock cells (answer_board.h) — kNN members with the g-distance values
+// its own sweep ranks them by, within members only when the membership
+// changed — and Answer() merges the S cells through the canonical rules
+// in queries/merge.h. Readers never take any shard or pool lock.
 //
 // Consistency contract:
 //  - Within one shard, answers are exactly DurableQueryServer's.
@@ -154,8 +155,9 @@ class ShardedQueryServer {
                               const Trajectory& query, double threshold);
   Status RemoveQuery(QueryId id);
 
-  // Advances every shard (in parallel) and republishes every answer cell
-  // at t, making subsequent Answer() reads exact as of t.
+  // Advances every shard (in parallel) and republishes its answer cells
+  // at t (within cells only if their membership changed), making
+  // subsequent Answer() reads exact as of t.
   void AdvanceTo(double t);
 
   // The merged current answer: reads every shard's seqlock cell and
@@ -228,6 +230,8 @@ class ShardedQueryServer {
   uint64_t pool_steals() const { return pool_->steals(); }
 
  private:
+  friend class ShardedQueryServerPeer;  // Tests read unmerged cells.
+
   struct Shard {
     // Null only for a placeholder under allow_degraded_shards (the shard
     // failed to open); open_error then records why.
@@ -240,16 +244,27 @@ class ShardedQueryServer {
   };
   struct QueryState {
     LoggedQuery logged;
-    GDistancePtr gdist;  // Rebuilt from logged.query.
     std::vector<std::unique_ptr<AnswerCell>> cells;  // One per shard.
+    // Per shard: the answer timeline's changes() at the cell's last
+    // publish (kNeverPublished before the first). A within cell is
+    // republished only when this moves. Written under that shard's mu.
+    std::vector<uint64_t> published_changes;
   };
+  static constexpr uint64_t kNeverPublished = ~uint64_t{0};
 
   ShardedQueryServer(std::string dir, ShardManifest manifest,
                      size_t threads);
 
   // Rebuilds queries_ from the (validated-identical) shard journals.
   Status RebuildQueryStates();
-  // Recomputes and publishes shard `s`'s cell for every query. Caller
+  // A QueryState with one unpublished cell per shard.
+  std::unique_ptr<QueryState> NewQueryState(const LoggedQuery& logged) const;
+  // Publishes shard `s`'s cell of query `id`: kNN members with their
+  // values read from the shard's own sweep, within members as ids only.
+  // Caller holds shards_[s]->mu.
+  void PublishCellLocked(size_t s, QueryId id, QueryState* state);
+  // Republishes shard `s`'s cell of every kNN query, and of every within
+  // query whose membership changed since that cell's last publish. Caller
   // holds shards_[s]->mu.
   void PublishShardLocked(size_t s);
   // Registration fan-out shared by AddKnn/AddWithin. Caller holds
@@ -296,13 +311,6 @@ class ShardedQueryServer {
   // every shard sees registrations in the same order and allocates the
   // same durable ids.
   std::mutex reg_mu_;
-  // QueryServer groups sweeps by gdist_key — the FIRST query under a key
-  // fixes the group's g-distance, and later queries under it are ranked
-  // by that gdist, not their own trajectory. The merge must rank with
-  // the same function the shards rank with, so we mirror the grouping:
-  // one shared GDistancePtr per live key, sticky until the key's last
-  // query is removed. Mutated only under reg_mu_ (or at Open).
-  std::map<std::string, GDistancePtr> group_gdists_;
   // Guards the queries_ map STRUCTURE: registration/removal mutate it,
   // and per-shard publish tasks iterate it. Answer() reads it unlocked —
   // safe because the contract forbids Answer racing registration, and

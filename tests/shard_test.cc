@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/env.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "durability/shard_layout.h"
 #include "gdist/builtin.h"
@@ -25,6 +28,17 @@
 #include "verify/fault_env.h"
 
 namespace modb {
+
+// Reads one shard's published cell, unmerged: the publish time and the
+// entries in canonical order.
+class ShardedQueryServerPeer {
+ public:
+  static void ReadCell(const ShardedQueryServer& db, QueryId id, size_t s,
+                       double* time, std::vector<ShardAnswerEntry>* entries) {
+    db.queries_.at(id)->cells.at(s)->Read(time, entries);
+  }
+};
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -325,6 +339,179 @@ TEST(ShardedServerTest, SharedGdistKeyGroupMatchesSingleShard) {
   single->AdvanceTo(6.0);
   wide->AdvanceTo(6.0);
   EXPECT_EQ(single->Answer(q3), wide->Answer(q3));
+}
+
+// ---------------------------------------------------------------------------
+// Publication: what each cell holds and when it is republished.
+
+// A published kNN value is read from the shard's own sweep; it must equal
+// the value a whole-trajectory curve rebuild gives, bit for bit (the
+// CurveIntoPool contract), so the merge ranks exactly as the sweep does.
+TEST(ShardedServerTest, PublishedKnnValuesMatchRebuiltCurvesBitExactly) {
+  for (size_t shards : {1u, 4u}) {
+    auto db = MustOpen(ScratchDir("pubvals_s" + std::to_string(shards)),
+                       Opt(shards));
+    const std::vector<std::vector<Update>> fleet = FleetBatches(40);
+    ASSERT_TRUE(db->Commit(fleet[0]).ok());
+    const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+    const Trajectory rover =
+        Trajectory::Linear(0.0, Vec{-10.0, 5.0}, Vec{1.5, -0.5});
+    struct Knn {
+      QueryId id;
+      Trajectory query;  // The query that founded the id's gdist group.
+    };
+    std::vector<Knn> knns;
+    for (size_t k : {1u, 4u}) {
+      auto id = db->AddKnn("hub", hub, k);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      knns.push_back({*id, hub});
+    }
+    auto rover_id = db->AddKnn("rover", rover, 3);
+    ASSERT_TRUE(rover_id.ok()) << rover_id.status().ToString();
+    knns.push_back({*rover_id, rover});
+    ASSERT_TRUE(db->AddWithin("hub", hub, 90.0).ok());
+
+    auto check = [&](const std::string& when) {
+      for (const Knn& knn : knns) {
+        const SquaredEuclideanGDistance gdist(knn.query);
+        for (size_t s = 0; s < shards; ++s) {
+          double time = 0.0;
+          std::vector<ShardAnswerEntry> entries;
+          ShardedQueryServerPeer::ReadCell(*db, knn.id, s, &time, &entries);
+          std::set<ObjectId> members;
+          for (const ShardAnswerEntry& entry : entries) {
+            members.insert(entry.oid);
+            const Trajectory* trajectory =
+                db->shard(s).server().mod().Find(entry.oid);
+            ASSERT_NE(trajectory, nullptr) << when;
+            EXPECT_EQ(entry.value, gdist.Curve(*trajectory).Eval(time))
+                << when << " shard=" << s << " query=" << knn.id
+                << " oid=" << entry.oid << " t=" << time;
+          }
+          EXPECT_EQ(members, db->shard(s).Answer(knn.id)) << when;
+        }
+      }
+    };
+    check("after registration");
+
+    // Seeded random commits: course corrections, arrivals, departures.
+    Rng rng(29 + shards);
+    double t = 0.5;
+    ObjectId next_oid = 1000;
+    std::set<ObjectId> alive;
+    for (const Update& u : fleet[0]) alive.insert(u.oid);
+    for (int round = 0; round < 40; ++round) {
+      t += rng.Uniform(0.01, 0.25);
+      std::vector<Update> batch;
+      const int size = static_cast<int>(rng.UniformInt(1, 3));
+      for (int i = 0; i < size; ++i) {
+        const double pick = rng.Uniform(0.0, 1.0);
+        auto it = alive.begin();
+        std::advance(it, rng.UniformInt(0, alive.size() - 1));
+        if (pick < 0.7) {
+          batch.push_back(Update::ChangeDirection(
+              *it, t, Vec{rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)}));
+        } else if (pick < 0.85 || alive.size() < 10) {
+          const Vec position{rng.Uniform(-15.0, 15.0),
+                             rng.Uniform(-15.0, 15.0)};
+          batch.push_back(Update::NewObject(
+              next_oid, t, position,
+              Vec{rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)}));
+          alive.insert(next_oid++);
+        } else {
+          batch.push_back(Update::TerminateObject(*it, t));
+          alive.erase(it);
+        }
+      }
+      ASSERT_TRUE(db->Commit(batch).ok());
+      check("round " + std::to_string(round));
+    }
+    db->AdvanceTo(t + 1.0);
+    check("after AdvanceTo");
+  }
+}
+
+// Registration changes no other query's answer, so it publishes exactly
+// the new query's S cells — not every query on every shard.
+TEST(ShardedServerTest, RegistrationPublishesOnlyTheNewQuerysCells) {
+  for (size_t shards : {1u, 4u}) {
+    auto db = MustOpen(ScratchDir("pubreg_s" + std::to_string(shards)),
+                       Opt(shards));
+    ASSERT_TRUE(db->Commit(FleetBatches(30)[0]).ok());
+    const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+    for (int q = 0; q < 6; ++q) {
+      const uint64_t before = obs::M().shard_publishes->Value();
+      const StatusOr<QueryId> id =
+          q % 2 == 0 ? db->AddKnn("hub", hub, 2 + q)
+                     : db->AddWithin("hub", hub, 20.0 * (q + 1));
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      EXPECT_EQ(obs::M().shard_publishes->Value() - before, shards)
+          << "shards=" << shards << " query " << q;
+    }
+  }
+}
+
+// A within cell carries member ids only and is republished only when the
+// membership moved: a commit or advance that moves nobody across the
+// threshold publishes nothing, one that does is visible in Answer().
+TEST(ShardedServerTest, WithinCellsRepublishOnlyWhenMembershipChanges) {
+  constexpr size_t kShards = 4;
+  auto db = MustOpen(ScratchDir("pubwithin"), Opt(kShards));
+  ObjectId from = 1;
+  const ObjectId inside = OidOn(0, kShards, from);
+  const ObjectId outside = OidOn(1, kShards, from);
+  const ObjectId arrival = OidOn(2, kShards, from);
+  ASSERT_TRUE(db->Commit({Update::NewObject(inside, 0.0, Vec{1.0, 0.0},
+                                            Vec{0.0, 0.01}),
+                          Update::NewObject(outside, 0.0, Vec{50.0, 0.0},
+                                            Vec{0.01, 0.0})})
+                  .ok());
+  const Trajectory hub = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  auto id = db->AddWithin("hub", hub, 25.0);  // Radius 5.
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(db->Answer(*id), std::set<ObjectId>({inside}));
+
+  auto publishes_of = [&db](const std::function<void()>& step) {
+    const uint64_t before = obs::M().shard_publishes->Value();
+    step();
+    return obs::M().shard_publishes->Value() - before;
+  };
+  // The far object turns but stays far: no membership moves.
+  EXPECT_EQ(publishes_of([&] {
+              ASSERT_TRUE(db->ApplyUpdate(Update::ChangeDirection(
+                                              outside, 1.0, Vec{0.0, 0.02}))
+                              .ok());
+            }),
+            0u);
+  EXPECT_EQ(db->Answer(*id), std::set<ObjectId>({inside}));
+
+  // An arrival inside the radius: exactly its shard's cell republishes.
+  EXPECT_EQ(publishes_of([&] {
+              ASSERT_TRUE(db->ApplyUpdate(Update::NewObject(
+                                              arrival, 2.0, Vec{2.0, 0.0},
+                                              Vec{0.0, 0.01}))
+                              .ok());
+            }),
+            1u);
+  EXPECT_EQ(db->Answer(*id), std::set<ObjectId>({inside, arrival}));
+  double time = 0.0;
+  std::vector<ShardAnswerEntry> entries;
+  ShardedQueryServerPeer::ReadCell(*db, *id, 2, &time, &entries);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].oid, arrival);
+  EXPECT_EQ(entries[0].value, 0.0);  // Ids only.
+
+  // A turn that heads out of range changes nothing at the turn instant;
+  // advancing past the threshold crossing republishes that shard only.
+  EXPECT_EQ(publishes_of([&] {
+              ASSERT_TRUE(db->ApplyUpdate(Update::ChangeDirection(
+                                              inside, 3.0, Vec{10.0, 0.0}))
+                              .ok());
+            }),
+            0u);
+  EXPECT_EQ(publishes_of([&] { db->AdvanceTo(4.0); }), 1u);
+  EXPECT_EQ(db->Answer(*id), std::set<ObjectId>({arrival}));
+  EXPECT_EQ(publishes_of([&] { db->AdvanceTo(5.0); }), 0u);
 }
 
 // ---------------------------------------------------------------------------

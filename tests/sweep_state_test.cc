@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "gdist/builtin.h"
+#include "obs/modb_metrics.h"
+#include "obs/query_cost.h"
 #include "workload/generator.h"
 
 namespace modb {
@@ -161,6 +163,52 @@ TEST(SweepStateTest, QueueLengthBoundedByN) {
   EXPECT_LE(state.stats().max_queue_length, options.num_objects - 1);
   EXPECT_GT(state.stats().swaps, 0u);
   state.CheckInvariants();
+}
+
+// Every queued event was scheduled and has since fired, been cancelled,
+// or is still queued — including across a Theorem 10 query chdir, whose
+// rebuild drops the whole queue and schedules a fresh one. Checked on
+// both the registry counters and the cost-ledger cell.
+TEST(SweepStateTest, EventCountsBalanceQueueAcrossQueryChdir) {
+  const RandomModOptions options{.num_objects = 50, .dim = 2, .seed = 43};
+  const MovingObjectDatabase mod = RandomMod(options);
+  Trajectory query = Trajectory::Linear(0.0, Vec{20.0, -10.0}, Vec{-1.0, 2.0});
+  const uint64_t scheduled0 = obs::M().sweep_events_scheduled->Value();
+  const uint64_t cancelled0 = obs::M().sweep_events_cancelled->Value();
+  const uint64_t fired0 = obs::M().sweep_swaps->Value();
+  auto balance = [&](const SweepState& state, const obs::CostCell& cell) {
+    const uint64_t scheduled =
+        obs::M().sweep_events_scheduled->Value() - scheduled0;
+    const uint64_t cancelled =
+        obs::M().sweep_events_cancelled->Value() - cancelled0;
+    const uint64_t fired = obs::M().sweep_swaps->Value() - fired0;
+    EXPECT_EQ(scheduled - fired - cancelled, state.queue_length());
+    EXPECT_EQ(cell.schedules.load() - cell.swaps.load() - cell.cancels.load(),
+              state.queue_length());
+  };
+
+  obs::CostCell cell;
+  SweepState state(std::make_shared<SquaredEuclideanGDistance>(query), 0.0);
+  state.SetCostSink(&cell);
+  for (const auto& [oid, trajectory] : mod.objects()) {
+    state.InsertObject(oid, trajectory);
+  }
+  state.AdvanceTo(20.0);
+  balance(state, cell);
+  ASSERT_GT(state.queue_length(), 0u);
+
+  ASSERT_TRUE(query.AddTurn(20.0, Vec{3.0, 0.5}).ok());
+  const uint64_t cancels_before = cell.cancels.load();
+  const size_t queued_before = state.queue_length();
+  state.ReplaceGDistance(std::make_shared<SquaredEuclideanGDistance>(query),
+                         mod.objects());
+  EXPECT_EQ(cell.cancels.load() - cancels_before, queued_before);
+  balance(state, cell);
+
+  state.AdvanceTo(60.0);
+  balance(state, cell);
+  state.CheckInvariants();
+  state.SetCostSink(nullptr);
 }
 
 TEST(SweepStateTest, OrderMatchesResortAtManyTimes) {
