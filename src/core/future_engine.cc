@@ -127,10 +127,9 @@ void FutureQueryEngine::ChangeQueryGDistance(GDistancePtr gdist) {
   record.kind = obs::kChdirKind;
   record.model_time = state_->now();
   record.wall_micros = wall;
-  record.support_changes =
-      state_->stats().SupportChanges() - before.SupportChanges();
-  record.crossings = state_->stats().crossings_computed -
-                     before.crossings_computed;
+  const SweepStats delta = state_->stats().Minus(before);
+  record.support_changes = delta.SupportChanges();
+  record.crossings = delta.crossings_computed;
   obs::SlowLog::Global().Offer(record);
 }
 

@@ -1,6 +1,7 @@
 #include "core/sweep_state.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/query_cost.h"
@@ -12,7 +13,44 @@ namespace {
 // Tolerance for the continuity checks at chdir / query-chdir boundaries.
 constexpr double kContinuityTol = 1e-6;
 
+// Publish adds only the counters that moved: most calls move few.
+void Add(obs::Counter* counter, uint64_t n) {
+  if (n != 0) counter->Increment(n);
+}
+void Add(std::atomic<uint64_t>& cell, uint64_t n) {
+  if (n != 0) cell.fetch_add(n, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+SweepStats& SweepStats::operator+=(const SweepStats& other) {
+  swaps += other.swaps;
+  inserts += other.inserts;
+  erases += other.erases;
+  curve_rebuilds += other.curve_rebuilds;
+  crossings_computed += other.crossings_computed;
+  batch_lanes += other.batch_lanes;
+  events_scheduled += other.events_scheduled;
+  events_cancelled += other.events_cancelled;
+  if (other.max_queue_length > max_queue_length) {
+    max_queue_length = other.max_queue_length;
+    order_at_max_queue = other.order_at_max_queue;
+  }
+  return *this;
+}
+
+SweepStats SweepStats::Minus(const SweepStats& base) const {
+  SweepStats delta = *this;
+  delta.swaps -= base.swaps;
+  delta.inserts -= base.inserts;
+  delta.erases -= base.erases;
+  delta.curve_rebuilds -= base.curve_rebuilds;
+  delta.crossings_computed -= base.crossings_computed;
+  delta.batch_lanes -= base.batch_lanes;
+  delta.events_scheduled -= base.events_scheduled;
+  delta.events_cancelled -= base.events_cancelled;
+  return delta;
+}
 
 SweepState::SweepState(GDistancePtr gdist, double start_time, double horizon)
     : gdist_(std::move(gdist)),
@@ -40,7 +78,6 @@ void SweepState::RefreshDerivedGauges() const {
   metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
   metrics_->sweep_order_depth_peak->SetMax(
       static_cast<int64_t>(order_.Depth()));
-  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_.size()));
 }
 
 void SweepState::AddListener(SweepListener* listener) {
@@ -105,21 +142,38 @@ void SweepState::NoteQueueLength() {
     stats_.max_queue_length = queue_.size();
     stats_.order_at_max_queue = order_.size();
   }
-  metrics_->sweep_queue_peak->SetMax(static_cast<int64_t>(queue_.size()));
 }
 
-void SweepState::NoteOrderShape() {
-  metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
+void SweepState::Publish() {
+  const SweepStats delta = stats_.Minus(published_);
+  published_ = stats_;
+  Add(metrics_->sweep_swaps, delta.swaps);
+  Add(metrics_->sweep_inserts, delta.inserts);
+  Add(metrics_->sweep_erases, delta.erases);
+  Add(metrics_->sweep_support_changes, delta.SupportChanges());
+  Add(metrics_->sweep_curve_rebuilds, delta.curve_rebuilds);
+  Add(metrics_->sweep_crossings_computed, delta.crossings_computed);
+  Add(metrics_->sweep_events_scheduled, delta.events_scheduled);
+  Add(metrics_->sweep_events_cancelled, delta.events_cancelled);
   metrics_->sweep_order_depth_peak->SetMax(
       static_cast<int64_t>(order_.last_insert_depth()));
+  metrics_->sweep_queue_peak->SetMax(
+      static_cast<int64_t>(stats_.max_queue_length));
+  if (cost_ != nullptr) {
+    Add(cost_->swaps, delta.swaps);
+    Add(cost_->inserts, delta.inserts);
+    Add(cost_->erases, delta.erases);
+    Add(cost_->curve_rebuilds, delta.curve_rebuilds);
+    Add(cost_->crossings, delta.crossings_computed);
+    Add(cost_->batch_lanes, delta.batch_lanes);
+    Add(cost_->schedules, delta.events_scheduled);
+    Add(cost_->cancels, delta.events_cancelled);
+  }
 }
 
 void SweepState::CancelPair(ObjectId left, ObjectId right) {
   if (queue_.ErasePair(left, right)) {
-    metrics_->sweep_events_cancelled->Increment();
-    if (cost_ != nullptr) {
-      cost_->cancels.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++stats_.events_cancelled;
     obs::TraceInstant(obs::SpanName::kSweepCancel, left, now_,
                       static_cast<uint64_t>(right), /*coarse=*/true);
   }
@@ -128,10 +182,6 @@ void SweepState::CancelPair(ObjectId left, ObjectId right) {
 std::optional<SweepEvent> SweepState::ComputePairEvent(ObjectId left,
                                                        ObjectId right) {
   ++stats_.crossings_computed;
-  metrics_->sweep_crossings_computed->Increment();
-  if (cost_ != nullptr) {
-    cost_->crossings.fetch_add(1, std::memory_order_relaxed);
-  }
   const std::optional<double> crossing =
       EntryFirstCrossing(curves_.at(left), curves_.at(right));
   if (!crossing.has_value()) return std::nullopt;
@@ -142,10 +192,7 @@ void SweepState::SchedulePair(ObjectId left, ObjectId right) {
   std::optional<SweepEvent> event = ComputePairEvent(left, right);
   if (event.has_value()) {
     queue_.Push(*event);
-    metrics_->sweep_events_scheduled->Increment();
-    if (cost_ != nullptr) {
-      cost_->schedules.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++stats_.events_scheduled;
     obs::TraceInstant(obs::SpanName::kSweepSchedule, left, event->time,
                       static_cast<uint64_t>(right), /*coarse=*/true);
     NoteQueueLength();
@@ -174,22 +221,15 @@ void SweepState::SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs,
   }
   batch_out_.resize(n);
   stats_.crossings_computed += n;
-  metrics_->sweep_crossings_computed->Increment(n);
-  if (cost_ != nullptr) {
-    cost_->crossings.fetch_add(n, std::memory_order_relaxed);
-    cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
-  }
+  stats_.batch_lanes += n;
   FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
                      root_options_, batch_out_.data(), &batch_scratch_);
-  // Replay pushes in pair order: same queue contents, metrics and trace
+  // Replay pushes in pair order: same queue contents, counts and trace
   // sequence as n sequential SchedulePair calls.
   for (size_t i = 0; i < n; ++i) {
     if (batch_out_[i] == kInf) continue;
     queue_.Push(SweepEvent{batch_out_[i], pairs[i].first, pairs[i].second});
-    metrics_->sweep_events_scheduled->Increment();
-    if (cost_ != nullptr) {
-      cost_->schedules.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++stats_.events_scheduled;
     obs::TraceInstant(obs::SpanName::kSweepSchedule, pairs[i].first,
                       batch_out_[i], static_cast<uint64_t>(pairs[i].second),
                       /*coarse=*/true);
@@ -205,8 +245,20 @@ void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
                                : entry.general.Domain().Contains(now_))
       << "curve of oid " << oid << " undefined at sweep time " << now_;
   const double value = EntryValue(entry, now_);
-  curves_.emplace(oid, std::move(entry));
+  InsertEntry(oid, std::move(entry), value);
+}
 
+void SweepState::InsertSentinel(ObjectId oid, double value) {
+  MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
+  obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
+  CurveEntry entry;
+  entry.pooled = pool_.AddConstant(value);
+  sentinels_.insert(oid);
+  InsertEntry(oid, std::move(entry), value);
+}
+
+void SweepState::InsertEntry(ObjectId oid, CurveEntry entry, double value) {
+  curves_.emplace(oid, std::move(entry));
   order_.Insert(oid, value,
                 [this](ObjectId other) { return CurveValue(other, now_); });
 
@@ -223,46 +275,9 @@ void SweepState::InsertObject(ObjectId oid, const Trajectory& trajectory) {
   SchedulePairs(pairs, npairs);
 
   ++stats_.inserts;
-  metrics_->sweep_inserts->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->inserts.fetch_add(1, std::memory_order_relaxed);
-  }
-  NoteOrderShape();
   for (SweepListener* listener : listeners_) listener->OnInsert(now_, oid);
   RunPostEventHook();
-}
-
-void SweepState::InsertSentinel(ObjectId oid, double value) {
-  MODB_CHECK(!ContainsObject(oid)) << "oid " << oid << " already present";
-  obs::TraceSpan span(obs::SpanName::kSweepInsert, oid, now_);
-  CurveEntry entry;
-  entry.pooled = pool_.AddConstant(value);
-  curves_.emplace(oid, std::move(entry));
-  sentinels_.insert(oid);
-
-  order_.Insert(oid, value,
-                [this](ObjectId other) { return CurveValue(other, now_); });
-  const std::optional<ObjectId> prev = order_.Prev(oid);
-  const std::optional<ObjectId> next = order_.Next(oid);
-  if (prev.has_value() && next.has_value()) {
-    CancelPair(*prev, *next);
-  }
-  std::pair<ObjectId, ObjectId> pairs[2];
-  size_t npairs = 0;
-  if (prev.has_value()) pairs[npairs++] = {*prev, oid};
-  if (next.has_value()) pairs[npairs++] = {oid, *next};
-  SchedulePairs(pairs, npairs);
-
-  ++stats_.inserts;
-  metrics_->sweep_inserts->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->inserts.fetch_add(1, std::memory_order_relaxed);
-  }
-  NoteOrderShape();
-  for (SweepListener* listener : listeners_) listener->OnInsert(now_, oid);
-  RunPostEventHook();
+  Publish();
 }
 
 void SweepState::EraseObject(ObjectId oid) {
@@ -281,14 +296,9 @@ void SweepState::EraseObject(ObjectId oid) {
   if (prev.has_value() && next.has_value()) SchedulePair(*prev, *next);
 
   ++stats_.erases;
-  metrics_->sweep_erases->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->erases.fetch_add(1, std::memory_order_relaxed);
-  }
-  metrics_->sweep_order_size->Set(static_cast<int64_t>(order_.size()));
   for (SweepListener* listener : listeners_) listener->OnErase(now_, oid);
   RunPostEventHook();
+  Publish();
 }
 
 void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
@@ -321,14 +331,11 @@ void SweepState::ReplaceCurve(ObjectId oid, const Trajectory& trajectory) {
   SchedulePairs(pairs, npairs);
 
   ++stats_.curve_rebuilds;
-  metrics_->sweep_curve_rebuilds->Increment();
-  if (cost_ != nullptr) {
-    cost_->curve_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  }
   for (SweepListener* listener : listeners_) {
     listener->OnCurveChanged(now_, oid);
   }
   RunPostEventHook();
+  Publish();
 }
 
 void SweepState::ReplaceGDistance(
@@ -361,10 +368,6 @@ void SweepState::ReplaceGDistance(
     ReleaseEntry(&entry);
     entry = std::move(rebuilt);
     ++stats_.curve_rebuilds;
-    metrics_->sweep_curve_rebuilds->Increment();
-    if (cost_ != nullptr) {
-      cost_->curve_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    }
   }
   // Recompute one event per adjacent pair and bulk-build the queue: O(N)
   // heap work. When every curve is pooled — the common case — all N-1
@@ -389,11 +392,7 @@ void SweepState::ReplaceGDistance(
     if (all_pooled) {
       batch_out_.resize(n);
       stats_.crossings_computed += n;
-      metrics_->sweep_crossings_computed->Increment(n);
-      if (cost_ != nullptr) {
-        cost_->crossings.fetch_add(n, std::memory_order_relaxed);
-        cost_->batch_lanes.fetch_add(n, std::memory_order_relaxed);
-      }
+      stats_.batch_lanes += n;
       FirstCrossingBatch(pool_, batch_refs_.data(), n, now_, horizon_,
                          root_options_, batch_out_.data(), &batch_scratch_);
       for (size_t i = 0; i < n; ++i) {
@@ -411,26 +410,12 @@ void SweepState::ReplaceGDistance(
   }
   // The rebuild drops every queued event and schedules the new ones:
   // count both, so scheduled - fired - cancelled stays the queue length.
-  const size_t dropped = queue_.size();
-  const size_t scheduled = events.size();
-  metrics_->sweep_events_cancelled->Increment(dropped);
-  metrics_->sweep_events_scheduled->Increment(scheduled);
-  if (cost_ != nullptr) {
-    cost_->cancels.fetch_add(dropped, std::memory_order_relaxed);
-    cost_->schedules.fetch_add(scheduled, std::memory_order_relaxed);
-  }
+  stats_.events_cancelled += queue_.size();
+  stats_.events_scheduled += events.size();
   queue_.BulkBuild(std::move(events));
   NoteQueueLength();
   RunPostEventHook();
-}
-
-void SweepState::ReplaceGDistance(
-    GDistancePtr gdist, const std::map<ObjectId, Trajectory>& trajectories) {
-  ReplaceGDistance(std::move(gdist),
-                   [&trajectories](ObjectId oid) -> const Trajectory* {
-                     auto it = trajectories.find(oid);
-                     return it == trajectories.end() ? nullptr : &it->second;
-                   });
+  Publish();
 }
 
 std::vector<SweepEvent> SweepState::QueueSnapshot() const {
@@ -468,11 +453,6 @@ void SweepState::ProcessEvent(const SweepEvent& event) {
 
   order_.SwapAdjacent(left, right);
   ++stats_.swaps;
-  metrics_->sweep_swaps->Increment();
-  metrics_->sweep_support_changes->Increment();
-  if (cost_ != nullptr) {
-    cost_->swaps.fetch_add(1, std::memory_order_relaxed);
-  }
   for (SweepListener* listener : listeners_) {
     listener->OnSwap(now_, left, right);
   }
@@ -495,6 +475,7 @@ void SweepState::AdvanceTo(double t) {
     ProcessEvent(queue_.PopMin());
   }
   now_ = t;
+  Publish();
 }
 
 void SweepState::CheckInvariants() const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -52,18 +51,29 @@ class SweepListener {
   }
 };
 
-// Instrumentation counters; the benchmark harness reads these to report the
-// paper's `m` (number of support changes) alongside wall time.
+// The one home of every sweep counter: plain integers written only by the
+// thread driving the SweepState, which copies them to the registry and its
+// cost sink once per public call (see SweepState::Publish). The benchmark
+// harness reads them to report the paper's `m` alongside wall time.
 struct SweepStats {
   uint64_t swaps = 0;              // Intersection events processed.
   uint64_t inserts = 0;            // Objects entering the order.
   uint64_t erases = 0;             // Objects leaving the order.
   uint64_t curve_rebuilds = 0;     // chdir-driven curve replacements.
   uint64_t crossings_computed = 0; // Pairwise crossing computations.
+  uint64_t batch_lanes = 0;        // Crossings computed by batched passes.
+  uint64_t events_scheduled = 0;   // Events pushed into the queue.
+  uint64_t events_cancelled = 0;   // Queued events removed before firing.
   size_t max_queue_length = 0;     // Peak event-queue length (≤ N - 1).
   size_t order_at_max_queue = 0;   // Order size N when that peak was set.
 
   uint64_t SupportChanges() const { return swaps + inserts + erases; }
+
+  // Sums the counters; the peak is the larger one, with its order size.
+  SweepStats& operator+=(const SweepStats& other);
+  // Counters minus those of an earlier snapshot of the same sweep; the
+  // peak fields are this snapshot's.
+  SweepStats Minus(const SweepStats& base) const;
 };
 
 // The sweep state of §5: the object list L (precedence order ≤_τ at the
@@ -156,10 +166,6 @@ class SweepState {
   void ReplaceGDistance(
       GDistancePtr gdist,
       const std::function<const Trajectory*(ObjectId)>& lookup);
-  // Convenience overload over a materialized map.
-  void ReplaceGDistance(
-      GDistancePtr gdist,
-      const std::map<ObjectId, Trajectory>& trajectories);
 
   // True if an intersection event is pending at or before `t`.
   bool HasEventAtOrBefore(double t) const;
@@ -176,12 +182,11 @@ class SweepState {
   // The arena every pooled curve lives in (introspection / tests).
   const PolySegPool& pool() const { return pool_; }
 
-  // Cost-attribution sink: when set, every mutation site also charges the
-  // cell (relaxed adds; batched paths charge fetch_add(n)). The sweep is
+  // Cost-attribution sink: when set, each public mutator adds the sweep
+  // work it did to the cell once, at its end (see Publish). The sweep is
   // shared by every query in its engine group, so the sink is the GROUP
-  // cell of a QueryCostLedger. Null (the default) disables attribution —
-  // each site pays one predicted branch. Not owned; must outlive the
-  // state or be reset to null first.
+  // cell of a QueryCostLedger. Null (the default) disables attribution.
+  // Not owned; must outlive the state or be reset to null first.
   void SetCostSink(obs::CostCell* cost) { cost_ = cost; }
   obs::CostCell* cost_sink() const { return cost_; }
 
@@ -206,18 +211,23 @@ class SweepState {
   // Builds the entry for a trajectory under the current g-distance.
   CurveEntry BuildEntry(const Trajectory& trajectory);
   void ReleaseEntry(CurveEntry* entry);
+  // The rest of InsertObject / InsertSentinel: places `oid`, whose curve
+  // `entry` is `value` at now(), and repairs the queue around it.
+  void InsertEntry(ObjectId oid, CurveEntry entry, double value);
   void SchedulePair(ObjectId left, ObjectId right);
   // Batched SchedulePair over up to `n` pairs: when every involved curve is
   // pooled, one `gdist.crossing_batch` SOA pass computes all crossings;
-  // pushes, metrics and trace instants are then replayed in pair order so
+  // pushes, counts and trace instants are then replayed in pair order so
   // the observable effects match n sequential SchedulePair calls exactly.
   void SchedulePairs(const std::pair<ObjectId, ObjectId>* pairs, size_t n);
   // ErasePair that counts a removal as a cancelled event.
   void CancelPair(ObjectId left, ObjectId right);
-  // Publishes order size / insertion depth after an order mutation.
-  void NoteOrderShape();
+  // Ends every public mutator: adds stats_ - published_ to the
+  // `modb.sweep.*` counters and the cost sink and raises the peak gauges,
+  // so both are exact whenever no SweepState call is on the stack.
+  void Publish();
   // The registry refresh hook: republishes the derived gauges (exact
-  // treap depth, current order/queue size) so every metrics snapshot —
+  // treap depth, current order size) so every metrics snapshot —
   // db-stats, --stats on any verb, bench --json — renders them fresh.
   void RefreshDerivedGauges() const;
   // Computes the pair's event without pushing; nullopt if none before the
@@ -244,9 +254,10 @@ class SweepState {
   std::vector<SweepListener*> listeners_;
   std::function<void()> post_event_hook_;
   SweepStats stats_;
+  // stats_ as of the last Publish.
+  SweepStats published_;
   RootOptions root_options_;
-  // Cached at construction: mutation sites bump the process-wide metrics
-  // with one relaxed atomic op, no registry lookup on the hot path.
+  // Cached at construction: Publish needs no registry lookup.
   obs::ModbMetrics* metrics_;
   // Cost-attribution sink (see SetCostSink); null disables.
   obs::CostCell* cost_ = nullptr;

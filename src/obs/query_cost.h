@@ -23,11 +23,12 @@ namespace obs {
 // granularity; work that is genuinely per-query — answer-set churn,
 // threshold-sentinel swaps — is attributed to the owning query id.
 //
-// Cost model mirrors the registry's: the accounting fast path is a null
-// check plus a relaxed atomic add on a CostCell the hot code caches a
-// pointer to. A sweep with no ledger attached (one-shot past queries,
-// benches driving an engine directly) pays exactly one predicted branch
-// per site. Ledger entries are never freed: retiring a query or tearing
+// Writers cache a CostCell pointer and add to it with relaxed atomics. The
+// sweep's group columns are not charged per event: SweepState counts them
+// in its own SweepStats and adds the difference to its group cell once
+// per call, in the step that also feeds the registry, so a group row
+// equals its sweeps' SweepStats whenever no sweep call is on the stack.
+// Ledger entries are never freed: retiring a query or tearing
 // down an engine group tombstones the entry (costs of removed queries
 // stay visible to reconciliation and reports, and cached pointers stay
 // valid on every thread). A group entry is keyed by its gdist key and
@@ -76,10 +77,9 @@ const std::vector<std::string>& LedgerColumnNames();
 uint64_t LedgerColumnValue(const CostRow& row, size_t i);
 
 // The mutable mirror of a CostRow: one relaxed atomic per column.
-// Instrumented code caches a CostCell* and does single fetch_adds (or one
-// fetch_add(n) on batched paths); readers Load() a consistent-enough
-// relaxed snapshot (exactness is defined at quiesced points, where the
-// reconciliation tests compare it against SweepStats).
+// Writers cache a CostCell* and fetch_add into it; readers Load() a
+// consistent-enough relaxed snapshot (exactness is defined at quiesced
+// points, where the reconciliation tests compare it against SweepStats).
 class CostCell {
  public:
   CostCell() = default;

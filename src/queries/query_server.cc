@@ -113,15 +113,15 @@ Status QueryServer::ApplyUpdate(const Update& update) {
   now_ = update.time;
   // Offer the whole fan-out cascade to the slow-update log (admission is
   // one relaxed load + compare unless this update beats the floor).
-  const SweepStats after = TotalStats();
+  const SweepStats delta = TotalStats().Minus(before);
   obs::SlowUpdateRecord record;
   record.trace_id = span.trace_id();
   record.oid = update.oid;
   record.kind = static_cast<int32_t>(update.kind);
   record.model_time = update.time;
   record.wall_micros = obs::TraceNowMicros() - wall_start;
-  record.support_changes = after.SupportChanges() - before.SupportChanges();
-  record.crossings = after.crossings_computed - before.crossings_computed;
+  record.support_changes = delta.SupportChanges();
+  record.crossings = delta.crossings_computed;
   obs::SlowLog::Global().Offer(record);
   return Status::Ok();
 }
@@ -213,18 +213,7 @@ std::vector<obs::TopEntry> QueryServer::TopQueries() const {
 
 SweepStats QueryServer::TotalStats() const {
   SweepStats total;
-  for (const auto& [key, group] : engines_) {
-    const SweepStats& stats = group.engine->stats();
-    total.swaps += stats.swaps;
-    total.inserts += stats.inserts;
-    total.erases += stats.erases;
-    total.curve_rebuilds += stats.curve_rebuilds;
-    total.crossings_computed += stats.crossings_computed;
-    if (stats.max_queue_length > total.max_queue_length) {
-      total.max_queue_length = stats.max_queue_length;
-      total.order_at_max_queue = stats.order_at_max_queue;
-    }
-  }
+  for (const auto& [key, group] : engines_) total += group.engine->stats();
   return total;
 }
 

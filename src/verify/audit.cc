@@ -257,6 +257,7 @@ AuditingObserver::AuditingObserver(SweepState* state,
     : auditor_(options), state_(state), mod_(mod) {
   MODB_CHECK(state_ != nullptr);
   baseline_ = state_->stats();
+  baseline_queue_ = state_->queue_length();
   state_->AddListener(this);
   state_->SetPostEventHook([this] { RunAudit(); });
 }
@@ -277,27 +278,29 @@ void AuditingObserver::OnErase(double, ObjectId) { ++observed_erases_; }
 void AuditingObserver::RunAudit() {
   ++audits_run_;
   AuditReport report = auditor_.Audit(*state_, mod_);
-  // Cross-check the m accounting: SweepState notifies listeners of every
+  // Cross-check the accounting: SweepState notifies listeners of every
   // support change *before* running this hook, so the stats delta since
-  // attach must equal the notifications received. Reported once — a drift
-  // is permanent and would otherwise flood every later audit.
-  const SweepStats& stats = state_->stats();
-  const uint64_t delta_swaps = stats.swaps - baseline_.swaps;
-  const uint64_t delta_inserts = stats.inserts - baseline_.inserts;
-  const uint64_t delta_erases = stats.erases - baseline_.erases;
+  // attach must equal the notifications received, and every event
+  // scheduled since has fired (a swap), been cancelled or is queued.
+  // Reported once — a drift is permanent and would flood later audits.
+  const SweepStats delta = state_->stats().Minus(baseline_);
+  const uint64_t queued = baseline_queue_ + delta.events_scheduled -
+                          delta.swaps - delta.events_cancelled;
   if (!stats_drift_reported_ &&
-      (delta_swaps != observed_swaps_ || delta_inserts != observed_inserts_ ||
-       delta_erases != observed_erases_)) {
+      (delta.swaps != observed_swaps_ || delta.inserts != observed_inserts_ ||
+       delta.erases != observed_erases_ ||
+       queued != state_->queue_length())) {
     stats_drift_reported_ = true;
     AuditViolation violation;
     violation.kind = AuditViolationKind::kStatsDrift;
     violation.now = state_->now();
     std::ostringstream detail;
-    detail << "stats delta since attach (swaps " << delta_swaps
-           << ", inserts " << delta_inserts << ", erases " << delta_erases
-           << ") != listener notifications (swaps " << observed_swaps_
+    detail << "stats delta since attach (swaps " << delta.swaps
+           << ", inserts " << delta.inserts << ", erases " << delta.erases
+           << ") vs listener notifications (swaps " << observed_swaps_
            << ", inserts " << observed_inserts_ << ", erases "
-           << observed_erases_ << ")";
+           << observed_erases_ << "); queue " << state_->queue_length()
+           << " vs " << queued << " by the event counts";
     violation.detail = detail.str();
     report.violations.push_back(std::move(violation));
   }

@@ -36,9 +36,9 @@ enum class AuditViolationKind {
   // A non-sentinel object's stored curve disagrees at now() with the curve
   // freshly derived from its trajectory (stale curve after chdir).
   kCurveDrift,
-  // The state's stats() accounting of support changes (the Theorem 4/5
-  // cost quantity m) disagrees with the listener notifications actually
-  // delivered since the observer attached.
+  // Since the observer attached, stats() disagrees with the listener
+  // notifications delivered (support changes, the Theorem 4/5 m) or with
+  // the queue length (scheduled - fired - cancelled events).
   kStatsDrift,
 };
 
@@ -135,10 +135,10 @@ class SweepAuditor {
 // O(N) crossing computations) — fuzzing and debug/test builds only.
 //
 // Also attaches as a SweepListener and counts the swap/insert/erase
-// notifications it receives; every audit cross-checks that count against
-// the delta of state->stats() since attach. Support changes are the cost
-// quantity of Theorems 4/5 and feed the metrics layer, so the accounting
-// itself is under audit (kStatsDrift on divergence).
+// notifications it receives; every audit cross-checks that count, and the
+// queue length, against the delta of state->stats() since attach. Those
+// counts are the cost quantities of Theorems 4/5 and Lemma 9 and feed the
+// metrics layer, so the accounting is under audit (kStatsDrift).
 //
 //   FutureQueryEngine engine(...);
 //   AuditingObserver audit(&engine.state(), &engine.mod());
@@ -174,9 +174,10 @@ class AuditingObserver : public SweepListener {
   const MovingObjectDatabase* mod_;
   size_t audits_run_ = 0;
   AuditReport accumulated_;
-  // stats() at attach time and the notifications seen since; compared on
-  // every audit.
+  // stats() and queue length at attach time and the notifications seen
+  // since; compared on every audit.
   SweepStats baseline_;
+  size_t baseline_queue_ = 0;
   uint64_t observed_swaps_ = 0;
   uint64_t observed_inserts_ = 0;
   uint64_t observed_erases_ = 0;

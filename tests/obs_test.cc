@@ -349,12 +349,24 @@ TEST(ScopedTimerTest, ObservesElapsedSecondsAndAllowsNull) {
   EXPECT_EQ(h.Count(), 1u);
 }
 
-// End-to-end: driving a real sweep moves the global sweep counters by
-// exactly the engine's own SweepStats deltas — the instrumented hot path
-// and the Stats() struct cannot disagree.
+// End-to-end: driving a real sweep moves every global sweep counter by
+// exactly the engine's own SweepStats delta — the registry is fed from
+// SweepStats alone, so between engine calls the two cannot disagree.
 TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   ModbMetrics& m = M();
-  const uint64_t swaps_before = m.sweep_swaps->Value();
+  const std::pair<Counter*, uint64_t SweepStats::*> counters[] = {
+      {m.sweep_swaps, &SweepStats::swaps},
+      {m.sweep_inserts, &SweepStats::inserts},
+      {m.sweep_erases, &SweepStats::erases},
+      {m.sweep_curve_rebuilds, &SweepStats::curve_rebuilds},
+      {m.sweep_crossings_computed, &SweepStats::crossings_computed},
+      {m.sweep_events_scheduled, &SweepStats::events_scheduled},
+      {m.sweep_events_cancelled, &SweepStats::events_cancelled},
+  };
+  std::vector<uint64_t> before;
+  for (const auto& [counter, field] : counters) {
+    before.push_back(counter->Value());
+  }
   const uint64_t changes_before = m.sweep_support_changes->Value();
   const uint64_t updates_before = m.future_updates->Value();
 
@@ -363,22 +375,39 @@ TEST(ModbMetricsTest, SweepCountersMatchEngineStats) {
   const UpdateStreamOptions stream{.count = 40, .mean_gap = 0.5,
                                    .seed = 101};
   const std::vector<Update> updates = RandomUpdateStream(mod, options, stream);
-  GDistancePtr gdist = std::make_shared<SquaredEuclideanGDistance>(
-      Trajectory::Stationary(0.0, Vec{0.0, 0.0}));
-  FutureQueryEngine engine(std::move(mod), gdist, 0.0);
+  Trajectory query = Trajectory::Stationary(0.0, Vec{0.0, 0.0});
+  FutureQueryEngine engine(std::move(mod),
+                           std::make_shared<SquaredEuclideanGDistance>(query),
+                           0.0);
   KnnKernel kernel(&engine.state(), 3);
   engine.Start();
+  auto expect_match = [&](const char* when) {
+    for (size_t i = 0; i < std::size(counters); ++i) {
+      const auto& [counter, field] = counters[i];
+      EXPECT_EQ(counter->Value() - before[i], engine.stats().*field)
+          << "counter " << i << " " << when;
+    }
+    EXPECT_EQ(m.sweep_support_changes->Value() - changes_before,
+              engine.stats().SupportChanges())
+        << when;
+  };
+  expect_match("after Start");
   for (const Update& update : updates) {
     ASSERT_TRUE(engine.ApplyUpdate(update).ok());
   }
+  expect_match("after the updates");
+  ASSERT_TRUE(query.AddTurn(updates.back().time, Vec{1.0, -0.5}).ok());
+  engine.ChangeQueryGDistance(
+      std::make_shared<SquaredEuclideanGDistance>(query));
   engine.AdvanceTo(updates.back().time + 5.0);
+  expect_match("after a query chdir and an advance");
 
-  EXPECT_EQ(m.sweep_swaps->Value() - swaps_before,
-            engine.stats().swaps);
-  EXPECT_EQ(m.sweep_support_changes->Value() - changes_before,
-            engine.stats().SupportChanges());
+  EXPECT_GT(engine.stats().swaps, 0u);
+  EXPECT_GT(engine.stats().events_cancelled, 0u);
   EXPECT_EQ(m.future_updates->Value() - updates_before, updates.size());
   EXPECT_GT(m.sweep_queue_peak->Value(), 0);
+  EXPECT_GE(m.sweep_queue_peak->Value(),
+            static_cast<int64_t>(engine.stats().max_queue_length));
   // Every counted update was also timed.
   EXPECT_EQ(m.future_update_seconds->Count(), m.future_updates->Value());
 }

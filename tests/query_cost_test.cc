@@ -238,8 +238,11 @@ TEST(ReconciliationTest, FiftySeedsLedgerMatchesRegistryAndStats) {
     EXPECT_EQ(groups.erases, stats.erases) << "seed " << seed;
     EXPECT_EQ(groups.curve_rebuilds, stats.curve_rebuilds) << "seed " << seed;
     EXPECT_EQ(groups.crossings, stats.crossings_computed) << "seed " << seed;
-    // Ledger vs the process registry's deltas (the only counters for
-    // schedules/cancels/updates).
+    EXPECT_EQ(groups.batch_lanes, stats.batch_lanes) << "seed " << seed;
+    EXPECT_EQ(groups.schedules, stats.events_scheduled) << "seed " << seed;
+    EXPECT_EQ(groups.cancels, stats.events_cancelled) << "seed " << seed;
+    // Ledger vs the process registry's deltas (the only counter for
+    // updates).
     EXPECT_EQ(groups.swaps, m.sweep_swaps->Value() - swaps0)
         << "seed " << seed;
     EXPECT_EQ(groups.inserts, m.sweep_inserts->Value() - inserts0)

@@ -1,13 +1,16 @@
 #include "core/sweep_state.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/future_engine.h"
 #include "gdist/builtin.h"
 #include "obs/modb_metrics.h"
 #include "obs/query_cost.h"
+#include "queries/query_server.h"
 #include "workload/generator.h"
 
 namespace modb {
@@ -167,48 +170,54 @@ TEST(SweepStateTest, QueueLengthBoundedByN) {
 
 // Every queued event was scheduled and has since fired, been cancelled,
 // or is still queued — including across a Theorem 10 query chdir, whose
-// rebuild drops the whole queue and schedules a fresh one. Checked on
-// both the registry counters and the cost-ledger cell.
+// rebuild drops the whole queue and schedules a fresh one. Checked on the
+// sweep's own stats(), on the registry counters it publishes to, and on
+// the ledger GROUP row of the QueryServer that owns it.
 TEST(SweepStateTest, EventCountsBalanceQueueAcrossQueryChdir) {
   const RandomModOptions options{.num_objects = 50, .dim = 2, .seed = 43};
-  const MovingObjectDatabase mod = RandomMod(options);
   Trajectory query = Trajectory::Linear(0.0, Vec{20.0, -10.0}, Vec{-1.0, 2.0});
-  const uint64_t scheduled0 = obs::M().sweep_events_scheduled->Value();
-  const uint64_t cancelled0 = obs::M().sweep_events_cancelled->Value();
-  const uint64_t fired0 = obs::M().sweep_swaps->Value();
-  auto balance = [&](const SweepState& state, const obs::CostCell& cell) {
-    const uint64_t scheduled =
-        obs::M().sweep_events_scheduled->Value() - scheduled0;
-    const uint64_t cancelled =
-        obs::M().sweep_events_cancelled->Value() - cancelled0;
-    const uint64_t fired = obs::M().sweep_swaps->Value() - fired0;
+  const obs::ModbMetrics& m = obs::M();
+  const uint64_t scheduled0 = m.sweep_events_scheduled->Value();
+  const uint64_t cancelled0 = m.sweep_events_cancelled->Value();
+  const uint64_t fired0 = m.sweep_swaps->Value();
+
+  QueryServer server(RandomMod(options), 0.0);
+  const GDistancePtr gdist = std::make_shared<SquaredEuclideanGDistance>(query);
+  server.AddKnn("moving", gdist, 3);
+  server.AddWithin("moving", gdist, 400.0);
+  FutureQueryEngine* engine = nullptr;
+  server.VisitEngines(
+      [&](const std::string&, FutureQueryEngine& e) { engine = &e; });
+  ASSERT_NE(engine, nullptr);
+  const SweepState& state = engine->state();
+  auto balance = [&] {
+    const SweepStats& stats = state.stats();
+    EXPECT_EQ(stats.events_scheduled - stats.swaps - stats.events_cancelled,
+              state.queue_length());
+    const uint64_t scheduled = m.sweep_events_scheduled->Value() - scheduled0;
+    const uint64_t cancelled = m.sweep_events_cancelled->Value() - cancelled0;
+    const uint64_t fired = m.sweep_swaps->Value() - fired0;
     EXPECT_EQ(scheduled - fired - cancelled, state.queue_length());
-    EXPECT_EQ(cell.schedules.load() - cell.swaps.load() - cell.cancels.load(),
+    const obs::CostRow group = server.cost_ledger().GroupTotals();
+    EXPECT_EQ(group.schedules - group.swaps - group.cancels,
               state.queue_length());
   };
 
-  obs::CostCell cell;
-  SweepState state(std::make_shared<SquaredEuclideanGDistance>(query), 0.0);
-  state.SetCostSink(&cell);
-  for (const auto& [oid, trajectory] : mod.objects()) {
-    state.InsertObject(oid, trajectory);
-  }
-  state.AdvanceTo(20.0);
-  balance(state, cell);
+  server.AdvanceTo(20.0);
+  balance();
   ASSERT_GT(state.queue_length(), 0u);
 
   ASSERT_TRUE(query.AddTurn(20.0, Vec{3.0, 0.5}).ok());
-  const uint64_t cancels_before = cell.cancels.load();
+  const uint64_t cancels_before = state.stats().events_cancelled;
   const size_t queued_before = state.queue_length();
-  state.ReplaceGDistance(std::make_shared<SquaredEuclideanGDistance>(query),
-                         mod.objects());
-  EXPECT_EQ(cell.cancels.load() - cancels_before, queued_before);
-  balance(state, cell);
+  engine->ChangeQueryGDistance(
+      std::make_shared<SquaredEuclideanGDistance>(query));
+  EXPECT_EQ(state.stats().events_cancelled - cancels_before, queued_before);
+  balance();
 
-  state.AdvanceTo(60.0);
-  balance(state, cell);
+  server.AdvanceTo(60.0);
+  balance();
   state.CheckInvariants();
-  state.SetCostSink(nullptr);
 }
 
 TEST(SweepStateTest, OrderMatchesResortAtManyTimes) {

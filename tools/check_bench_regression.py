@@ -5,7 +5,7 @@ Usage:
     check_bench_regression.py BASELINE.json FRESH.json \
         [--tolerance PCT] [--table-tolerance NAME=PCT ...] [--out DIFF.md]
     check_bench_regression.py BASELINE.json FRESH.json \
-        --exact COLUMN [--exact COLUMN ...] [--out DIFF.md]
+        --exact NAME [--exact NAME ...] [--out DIFF.md]
 
 Tables are matched by name, rows by their first column (the independent
 variable: N, mean_gap, ...).
@@ -19,15 +19,19 @@ non-blocking (continue-on-error) and uploads --out as an artifact: bench
 timings on shared runners are weather, not verdicts, but the diff makes a
 real regression visible the day it lands.
 
-Exact mode (--exact COLUMN, repeatable): only the listed columns are
+Exact mode (--exact NAME, repeatable): only the listed columns are
 compared, and each must print identically to the baseline at full double
 precision (%.17g). Event counts such as m_per_update are deterministic, so
 any difference is a behaviour change, not noise. A baseline table or row
-missing from the fresh run fails too. CI runs this mode as a blocking step.
+missing from the fresh run fails too. NAME may also be a key of the
+baseline's "metrics" block (the embedded registry dump, e.g.
+modb.sweep.swaps); its "value" is compared the same way, and a metric
+missing from the fresh run fails. CI runs this mode as a blocking step.
 
 Exit codes: 0 = clean, 1 = timing regression past tolerance or an exact
 mismatch / missing table or row in exact mode, 2 = bad invocation or
-unreadable input (including an --exact column no baseline table has).
+unreadable input (including an --exact name that is neither a baseline
+table column nor a baseline metric).
 
 Stdlib only; do not add dependencies.
 """
@@ -109,6 +113,23 @@ def compare(rows, default_tol, table_tols):
                    new_value, delta, worse > tolerance)
 
 
+def compare_exact_metrics(baseline, fresh, names, missing):
+    """Yields ("metrics", name, "value", base_text, new_text, matches) for
+    every requested metric; appends those the fresh run lacks to
+    `missing`."""
+    base_metrics = baseline.get("metrics", {})
+    fresh_metrics = fresh.get("metrics", {})
+    for name in sorted(names):
+        fresh_metric = fresh_metrics.get(name)
+        if fresh_metric is None:
+            missing.append(f"metric {name}")
+            continue
+        base_text = exact_text(base_metrics[name].get("value"))
+        new_text = exact_text(fresh_metric.get("value"))
+        yield ("metrics", name, "value", base_text, new_text,
+               base_text == new_text)
+
+
 def exact_text(value):
     return "%.17g" % value if isinstance(value, (int, float)) else repr(value)
 
@@ -137,9 +158,9 @@ def main():
                         metavar="NAME=PCT",
                         help="per-table override, repeatable")
     parser.add_argument("--exact", action="append", default=[],
-                        metavar="COLUMN",
-                        help="compare only this column, bit for bit; "
-                             "repeatable")
+                        metavar="NAME",
+                        help="compare only this table column or metrics "
+                             "key, bit for bit; repeatable")
     parser.add_argument("--out", help="write a markdown diff report here")
     args = parser.parse_args()
 
@@ -158,19 +179,22 @@ def main():
     rows = matched_rows(baseline, fresh, missing)
 
     if args.exact:
-        columns = set(args.exact)
+        names = set(args.exact)
         known = {header for table in baseline.get("tables", [])
                  for header in table.get("headers", [])}
+        metrics = names & (set(baseline.get("metrics", {})) - known)
+        columns = names - metrics
         unknown = sorted(columns - known)
         if unknown:
-            print(f"error: --exact column(s) {unknown} appear in no "
-                  f"baseline table", file=sys.stderr)
+            print(f"error: --exact name(s) {unknown} appear in no "
+                  f"baseline table or metrics block", file=sys.stderr)
             return 2
         results = list(compare_exact(rows, columns))
+        results += compare_exact_metrics(baseline, fresh, metrics, missing)
         failures = [row for row in results if not row[5]]
         lines = ["# Bench exact-column report", "",
                  f"baseline: `{args.baseline}`  fresh: `{args.fresh}`  "
-                 f"exact: {sorted(columns)}", "",
+                 f"exact: {sorted(names)}", "",
                  "| table | row | column | baseline | fresh | |",
                  "| --- | --- | --- | --- | --- | --- |"]
         for name, key, col, base, new, matches in results:
@@ -204,7 +228,7 @@ def main():
     if args.exact:
         if failures or missing:
             print(f"{len(failures)} exact mismatch(es), {len(missing)} "
-                  f"missing table(s)/row(s)", file=sys.stderr)
+                  f"missing table(s)/row(s)/metric(s)", file=sys.stderr)
             return 1
         print("all exact columns identical")
         return 0
